@@ -1,10 +1,12 @@
 """Config-driven experiment runner.
 
-Usage:  hermflow <command> --config cfg.json [--seed u64] [--out dir] [--threads k]
+Usage:  hermflow <command> --config cfg.json [--seed u64] [--out dir] [--threads 1]
 
 Commands: laplace-verify, gibbs-sample, sd-check, sde-run, entropy-estimate,
 yosida-test.  Exit codes: 0 all checks pass, 1 numerical-check failure,
-2 config error.  Verbosity via the APP_LOG environment variable.
+2 config error.  Verbosity via the APP_LOG environment variable.  Chains and
+sizes run one after another; ``--threads`` accepts only 1 and is kept for
+existing command lines.
 
 Each run writes ``report.json`` (estimates with stderr and pass/fail check
 entries, plus the resolved config echo) and plot-ready ``tables/*.csv``.
@@ -19,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from . import free_entropy, gibbs, laplace, sde, yosida
 from .matrix_core import HermitianTuple, stream
 from .nc_poly import NCPolynomial
 from .potentials import PotentialSpec, ensure_component_floor, spec_from_dict, spec_to_dict
-from .value_function import EstimatorUnderflow
+from .value_function import EstimatorUnderflow, resolve_tilt
 
 log = logging.getLogger("hermflow")
 
@@ -66,12 +67,15 @@ class ExperimentConfig:
     budgets: dict
     seed: int
     out_dir: Path
-    threads: int = 1
-    tilt: object = "auto"
+    tilt: object = "auto"  # raw config value, resolved by resolve_tilt at run time
     raw: dict = field(default_factory=dict)
 
 
-def load_config(command: str, doc: dict, seed_override=None, out_override=None, threads=1) -> ExperimentConfig:
+def _positive_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val > 0
+
+
+def load_config(command: str, doc: dict, seed_override=None, out_override=None) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("$", "config must be a JSON object")
     cfg_command = doc.get("command", command)
@@ -103,11 +107,19 @@ def load_config(command: str, doc: dict, seed_override=None, out_override=None, 
     for key, val in user_budgets.items():
         if key not in DEFAULT_BUDGETS:
             raise ConfigError(f"budgets.{key}", "unknown budget field")
-        if not isinstance(val, int) or val <= 0:
+        if not _positive_int(val):
             raise ConfigError(f"budgets.{key}", "must be a positive integer")
         budgets[key] = val
     if "grid_steps" in doc:
-        budgets["grid_steps"] = int(doc["grid_steps"])
+        if not _positive_int(doc["grid_steps"]):
+            raise ConfigError("grid_steps", "must be a positive integer")
+        budgets["grid_steps"] = doc["grid_steps"]
+    tilt = doc.get("tilt", "auto")
+    if spec is not None or tilt != "auto":  # without a spec only the form is checked
+        try:
+            resolve_tilt(spec, tilt)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("tilt", str(exc)) from exc
     seed = seed_override if seed_override is not None else doc.get("seed")
     if seed is None:
         raise ConfigError("seed", "seed is mandatory (reproducibility)")
@@ -121,8 +133,7 @@ def load_config(command: str, doc: dict, seed_override=None, out_override=None, 
         budgets=budgets,
         seed=int(seed),
         out_dir=out_dir,
-        threads=max(1, int(threads)),
-        tilt=doc.get("tilt", "auto"),
+        tilt=tilt,
         raw=doc,
     )
 
@@ -179,19 +190,14 @@ def run_gibbs_sample(cfg: ExperimentConfig) -> tuple[dict, list]:
     checks = []
     rows = [("n", "chain", "tau2", "tau2_err", "tau4", "tau4_err", "acceptance", "ess")]
 
-    def one(nv, chain_idx):
-        ens = gibbs.GibbsEnsemble(cfg.spec, nv, step=0.3 / np.sqrt(nv))
-        samples, diag = gibbs.mala_sample(
-            ens, cfg.budgets["chain_steps"], stream(cfg.seed, worker=101 * nv + chain_idx)
-        )
-        return samples, diag
-
     for nv in cfg.n_list:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outs = list(pool.map(lambda c: one(nv, c), range(cfg.budgets["chains"])))
         per_chain = []
         traces = []
-        for idx, (samples, diag) in enumerate(outs):
+        for idx in range(cfg.budgets["chains"]):
+            ens = gibbs.GibbsEnsemble(cfg.spec, nv, step=0.3 / np.sqrt(nv))
+            samples, diag = gibbs.mala_sample(
+                ens, cfg.budgets["chain_steps"], stream(cfg.seed, worker=101 * nv + idx)
+            )
             mom = _chain_moments(samples, nv)
             traces.append(diag.pop("trace_norm2"))
             per_chain.append({"moments": mom, "diagnostics": diag})
@@ -454,7 +460,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, choices=(1,))
     args = parser.parse_args(argv)
 
     logging.basicConfig(level=os.environ.get("APP_LOG", "INFO").upper())
@@ -464,7 +470,7 @@ def main(argv=None) -> int:
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = load_config(args.command, doc, args.seed, args.out, args.threads)
+        cfg = load_config(args.command, doc, args.seed, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -100,6 +100,11 @@ def _unembed_state(v: np.ndarray, k: int, m: int, n: int) -> np.ndarray:
     return _unembed_array(v.reshape(k, m * n * n), n, m)
 
 
+def _log_proposal(v_to: np.ndarray, v_from: np.ndarray, grad_from: np.ndarray, eps: float) -> float:
+    """log q(v_to | v_from) of the Langevin proposal, up to a constant."""
+    return -float(np.sum((v_to - v_from - 0.5 * eps**2 * grad_from) ** 2)) / (2 * eps**2)
+
+
 def mala_log_ratio(ens: GibbsEnsemble, slots_a: np.ndarray, slots_b: np.ndarray) -> float:
     """log of the acceptance ratio for a proposed move a -> b (MALA kernel)."""
     eps = ens.step
@@ -107,9 +112,7 @@ def mala_log_ratio(ens: GibbsEnsemble, slots_a: np.ndarray, slots_b: np.ndarray)
     ga = _grad_log_density_embedded(ens, slots_a)
     gb = _grad_log_density_embedded(ens, slots_b)
     la, lb = _log_density(ens, slots_a), _log_density(ens, slots_b)
-    fwd = -float(np.sum((vb - va - 0.5 * eps**2 * ga) ** 2)) / (2 * eps**2)
-    bwd = -float(np.sum((va - vb - 0.5 * eps**2 * gb) ** 2)) / (2 * eps**2)
-    return lb - la + bwd - fwd
+    return lb - la + _log_proposal(va, vb, gb, eps) - _log_proposal(vb, va, ga, eps)
 
 
 def mala_sample(
@@ -142,8 +145,8 @@ def mala_sample(
         slots_prop = _unembed_state(v_prop, k, m, n)
         logp_prop = _log_density(ens, slots_prop)
         grad_prop = _grad_log_density_embedded(ens, slots_prop)
-        fwd = -float(np.sum((v_prop - v - 0.5 * eps**2 * grad) ** 2)) / (2 * eps**2)
-        bwd = -float(np.sum((v - v_prop - 0.5 * eps**2 * grad_prop) ** 2)) / (2 * eps**2)
+        fwd = _log_proposal(v_prop, v, grad, eps)
+        bwd = _log_proposal(v, v_prop, grad_prop, eps)
         log_alpha = logp_prop - logp + bwd - fwd
         ens.proposed += 1
         accept = np.log(rng.uniform()) < log_alpha

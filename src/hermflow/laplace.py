@@ -30,6 +30,7 @@ from .value_function import (
     ValueEstimate,
     ValueQuery,
     drift_core_array,
+    resolve_tilt,
     value_h,
 )
 
@@ -102,7 +103,7 @@ def simulate_controlled_paths(
     acceptance budgets.
     """
     m = spec.m
-    c_tilt = spec.quad_coefficient() if tilt == "auto" else (tilt or 0.0)
+    c_tilt = resolve_tilt(spec, tilt)
     grid = _controlled_grid(spec, grid_steps)
     M = grid.size - 1
     states = np.zeros((paths, m, n, n), dtype=complex)

@@ -35,6 +35,7 @@ from .matrix_core import (
     UnitaryTuple,
     cayley,
     hermitize,
+    norm2_array,
     normalized_trace_array,
     sample_increment_array,
 )
@@ -149,10 +150,13 @@ def component_values_array(
     spec: PotentialSpec, slots: np.ndarray, u_ext: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-component values g_i, shape (..., n_components)."""
-    flat = _flatten_slots(slots)
-    n = slots.shape[-1]
-    quad_sum = np.sum(np.abs(slots) ** 2, axis=(-1, -2, -3, -4)) / n  # sum_{j,l} tau(x^2)
-    cache: dict = {}
+    return _component_values(spec, _flatten_slots(slots), u_ext, {})
+
+
+def _component_values(spec: PotentialSpec, flat: np.ndarray, u_ext, cache: dict) -> np.ndarray:
+    """:func:`component_values_array` on flat letters, filling the Cayley ``cache``."""
+    n = flat.shape[-1]
+    quad_sum = norm2_array(flat)  # sum_{j,l} tau(x^2)
     vals = []
     for comp in spec.components:
         v = comp.offset + comp.quad * quad_sum
@@ -240,7 +244,8 @@ def gradient_potential_array(
     k, m, n = spec.k, spec.m, slots.shape[-1]
     flat = _flatten_slots(slots)
     lead = slots.shape[:-4]
-    g = component_values_array(spec, slots, u_ext)  # (..., n_comp)
+    cache: dict = {}  # one Cayley transform per letter for the values and the gradient
+    g = _component_values(spec, flat, u_ext, cache)  # (..., n_comp)
 
     if math.isinf(spec.p):
         # gradient of the max component (a.e.; ties broken by argmax)
@@ -252,7 +257,6 @@ def gradient_potential_array(
         weights = np.power(g, spec.p - 1.0) * (s ** (1.0 / spec.p - 1.0))[..., None]
 
     grad_flat = np.zeros(lead + (k * m, n, n), dtype=complex)
-    cache: dict = {}
     for ci, comp in enumerate(spec.components):
         wgt = weights[..., ci]  # (...,)
         if comp.quad != 0.0:

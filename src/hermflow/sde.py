@@ -22,7 +22,7 @@ from .matrix_core import (
     stream,
 )
 from .potentials import PotentialSpec, gradient_potential_array
-from .value_function import drift_core_array
+from .value_function import _stack_history, drift_core_array, resolve_tilt
 from .yosida import ConvexFn, prox
 
 EXPLOSION_THRESHOLD = 1e6
@@ -373,13 +373,10 @@ def value_drift_field(
     u_ext=None,
 ) -> DriftField:
     """DriftField whose drift is the Monte Carlo optimal-drift estimate."""
-    c_tilt = spec.quad_coefficient() if tilt == "auto" else (tilt or 0.0)
+    c_tilt = resolve_tilt(spec, tilt)
 
     def fn(t, history, x):
-        hist = (
-            np.stack([h.data for h in history], axis=0) if history else np.zeros((0,))
-        )
-        res = drift_core_array(spec, t, hist, x.data, inner, rng, c_tilt, u_ext)
+        res = drift_core_array(spec, t, _stack_history(history), x.data, inner, rng, c_tilt, u_ext)
         return HermitianTuple(res["b"])
 
     return DriftField(fn=fn, slot_times=spec.times, monotone=spec.convex_mode)

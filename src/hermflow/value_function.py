@@ -7,30 +7,29 @@ below t and current state x is
 
 with z_j the remaining normalized Hermitian Brownian increments at the slot
 times above t.  The optimal drift is minus its gradient under the
-sum_l (1/n)Tr inner product, with two estimators:
+sum_l (1/n)Tr inner product.  One self-normalized estimator gives both from
+the same weighted futures: ``value_h`` reduces the weights by a streaming
+log-mean-exp, ``drift_core_array`` takes the weighted mean of the
+slot-gradient sum (with an effective-sample-size diagnostic).
+``drift_logratio`` defaults to no tilt, ``drift_gradexp`` to the automatic one.
 
-* ``drift_logratio``: ratio of prior-weighted averages (numerator and
-  denominator share samples),
-* ``drift_gradexp``: self-normalized importance sampling under a
-  quadratically tilted bridge (the tractable surrogate of the conditioned
-  path measure), with an effective-sample-size diagnostic.
-
-Exponential weights concentrate brutally as n grows, so all estimators
-accept a quadratic tilt coefficient: the Gaussian part of the tilt
+Exponential weights concentrate brutally as n grows, so the futures come
+from a quadratically tilted Gaussian bridge: the Gaussian part of the tilt
 integrates in closed form and the sampled weights only carry the residual.
-``tilt="auto"`` uses the potential's aggregate quadratic coefficient; ``tilt=0``
-(or None) is the plain estimator.
+:func:`resolve_tilt` maps ``"auto"`` to the potential's aggregate quadratic
+coefficient and None to 0 (the plain estimator).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
-from .matrix_core import HermitianTuple, hermitize, sample_increment_array
+from .matrix_core import HermitianTuple, hermitize, norm2_array, sample_increment_array
 from .potentials import (
     PotentialSpec,
     eval_potential_array,
@@ -42,6 +41,20 @@ _TIME_TOL = 1e-12
 
 class EstimatorUnderflow(RuntimeError):
     """Weights collapsed; advise a larger budget or an importance shift."""
+
+
+def resolve_tilt(spec: PotentialSpec, tilt: Union[None, float, str]) -> float:
+    """Tilt coefficient: None -> 0, "auto" -> ``spec.quad_coefficient()``, else the number."""
+    if tilt is None:
+        return 0.0
+    if isinstance(tilt, str):
+        if tilt != "auto":
+            raise ValueError(f"unknown tilt {tilt!r}")
+        return spec.quad_coefficient()
+    c = float(tilt)
+    if isinstance(tilt, bool) or not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"tilt must be None, 'auto' or a finite nonnegative number, got {tilt!r}")
+    return c
 
 
 @dataclass
@@ -74,7 +87,7 @@ class ValueQuery:
     x: HermitianTuple
     samples: int
     rng: np.random.Generator
-    tilt: Union[None, float, str] = None  # None -> 0 (plain), "auto", or coefficient
+    tilt: Union[None, float, str] = None  # see resolve_tilt
 
     def __post_init__(self):
         times = self.spec.times
@@ -85,16 +98,7 @@ class ValueQuery:
             raise ValueError(f"history length {len(self.history)} != {i} slots below t={self.t}")
 
     def tilt_coefficient(self) -> float:
-        if self.tilt is None:
-            return 0.0
-        if isinstance(self.tilt, str):
-            if self.tilt != "auto":
-                raise ValueError(f"unknown tilt {self.tilt!r}")
-            return self.spec.quad_coefficient()
-        c = float(self.tilt)
-        if c < 0:
-            raise ValueError("tilt coefficient must be nonnegative")
-        return c
+        return resolve_tilt(self.spec, self.tilt)
 
 
 # -- Gaussian future chain ---------------------------------------------------
@@ -113,6 +117,7 @@ class _FutureChain:
 
     times: np.ndarray
     n: int
+    c: float  # tilt coefficient; a = n * c
     a: float
     chol_t: np.ndarray
     mu_coef: np.ndarray  # tilted mean of z_j is mu_coef[j] * x
@@ -140,6 +145,7 @@ def _build_chain(future_times: np.ndarray, t: float, n: int, c_tilt: float) -> _
     return _FutureChain(
         times=np.asarray(future_times, dtype=float),
         n=n,
+        c=c_tilt,
         a=a,
         chol_t=chol_t,
         mu_coef=-2.0 * a * st1,
@@ -182,15 +188,10 @@ def _sample_future(
 
 
 def _assemble_slots(
-    spec: PotentialSpec,
-    past_idx,
-    here_idx,
-    future_idx,
-    history: np.ndarray,
-    x: np.ndarray,
-    y_future: np.ndarray,
+    spec: PotentialSpec, parts, history: np.ndarray, x: np.ndarray, y_future: np.ndarray
 ) -> np.ndarray:
     """Stack history / boundary / sampled future into (..., draws, k, m, n, n)."""
+    past_idx, here_idx, future_idx = parts
     lead = x.shape[:-3]
     draws = y_future.shape[-5]
     k, m, n = spec.k, spec.m, x.shape[-1]
@@ -210,10 +211,35 @@ def _stack_history(history) -> np.ndarray:
     return np.stack([h.data for h in history], axis=0)
 
 
-def _future_norm2(y: np.ndarray) -> np.ndarray:
-    """sum over future slots of sum_l (1/n)Tr(y^2), batched."""
-    n = y.shape[-1]
-    return np.sum(np.abs(y) ** 2, axis=(-1, -2, -3, -4)) / n
+def _terminal_slots(spec: PotentialSpec, parts, history: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The single slot array when no future slot is left, lead + (1, k, m, n, n)."""
+    no_future = np.empty(x.shape[:-3] + (1, 0) + x.shape[-3:], dtype=complex)
+    return _assemble_slots(spec, parts, history, x, no_future)
+
+
+def _draw(
+    spec: PotentialSpec,
+    chain: _FutureChain,
+    parts,
+    history: np.ndarray,
+    x: np.ndarray,
+    draws: int,
+    rng: np.random.Generator,
+    u_ext: Optional[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the future slots and weight them.
+
+    Returns the slot array, lead + (draws, k, m, n, n), and the log-weights
+    -n^2 (V - c sum_j tau(y_j^2)), lead + (draws,), i.e. the potential over
+    the tilt whose Gaussian part :func:`_log_weight_closed` integrates.
+    """
+    n = x.shape[-1]
+    y = _sample_future(chain, x, spec.m, rng, draws)
+    y_norm2 = norm2_array(y.reshape(y.shape[:-4] + (-1, n, n)))
+    slots = _assemble_slots(spec, parts, history, x, y)
+    del y  # copied into slots; free it before the potential's temporaries
+    v = eval_potential_array(spec, slots, u_ext)
+    return slots, -(n * n) * (v - chain.c * y_norm2)
 
 
 # -- public estimators -------------------------------------------------------
@@ -226,17 +252,14 @@ def value_h(q: ValueQuery, u_ext: Optional[np.ndarray] = None, chunk: int = 5000
     weight accumulators (streaming log-mean-exp).
     """
     spec, x = q.spec, q.x
-    n, m = x.n, spec.m
-    past, here, future = _split_times(spec, q.t)
+    n = x.n
+    parts = _split_times(spec, q.t)
+    future = parts[2]
     hist = _stack_history(q.history)
     c_tilt = q.tilt_coefficient()
 
     if future.size == 0:
-        slots = np.empty((1, spec.k, m, n, n), dtype=complex)
-        for pos, j in enumerate(past):
-            slots[0, j] = hist[pos]
-        for j in here:
-            slots[0, j] = x.data
+        slots = _terminal_slots(spec, parts, hist, x.data)
         val = float(eval_potential_array(spec, slots, u_ext)[0])
         return ValueEstimate(value=val, stderr=0.0, samples=0, meta={"deterministic": True})
 
@@ -248,10 +271,8 @@ def value_h(q: ValueQuery, u_ext: Optional[np.ndarray] = None, chunk: int = 5000
     while remaining > 0:
         draws = min(remaining, chunk)
         remaining -= draws
-        y = _sample_future(chain, x.data, m, q.rng, draws)
-        slots = _assemble_slots(spec, past, here, future, hist, x.data, y)
-        v = eval_potential_array(spec, slots, u_ext)
-        logw = -(n * n) * (v - c_tilt * _future_norm2(y))
+        # keep only the weights: no chunk's slots outlive its draw
+        logw = _draw(spec, chain, parts, hist, x.data, draws, q.rng, u_ext)[1]
         cmax = float(logw.max())
         if not np.isfinite(cmax):
             raise EstimatorUnderflow(
@@ -273,7 +294,7 @@ def value_h(q: ValueQuery, u_ext: Optional[np.ndarray] = None, chunk: int = 5000
         raise EstimatorUnderflow(
             f"effective sample size {ess:.2f} < 2; increase the budget or the tilt"
         )
-    log_closed = float(_log_weight_closed(chain, x.data, m))
+    log_closed = float(_log_weight_closed(chain, x.data, spec.m))
     value = -(log_closed + gmax + float(np.log(mean_w))) / (n * n)
     var_w = max(s2 / count - mean_w**2, 0.0) * count / max(count - 1, 1)
     rel = float(np.sqrt(var_w) / (np.sqrt(count) * mean_w))
@@ -297,27 +318,19 @@ def drift_core_array(
     half-batch estimates ``b1``/``b2`` when ``split``, per-state ``stderr``
     and ``ess`` arrays, all under the sum_l (1/n)Tr pairing convention.
     """
-    n, m = x.shape[-1], spec.m
+    n = x.shape[-1]
     lead = x.shape[:-3]
-    past, here, future = _split_times(spec, t)
+    parts = _split_times(spec, t)
+    _, here, future = parts
 
     if future.size == 0:
-        slots = np.empty(lead + (1, spec.k, m, n, n), dtype=complex)
-        for pos, j in enumerate(past):
-            slots[..., j, :, :, :] = history[..., pos, :, :, :][..., None, :, :, :]
-        for j in here:
-            slots[..., j, :, :, :] = x[..., None, :, :, :]
-        grads = gradient_potential_array(spec, slots, u_ext)
-        b = -np.sum(grads[..., 0, list(here), :, :, :], axis=-4)
-        b = hermitize(b)
+        grads = gradient_potential_array(spec, _terminal_slots(spec, parts, history, x), u_ext)
+        b = hermitize(-np.sum(grads[..., 0, list(here), :, :, :], axis=-4))
         zeros = np.zeros(lead)
         return {"b": b, "b1": b, "b2": b, "stderr": zeros, "ess": zeros, "deterministic": True}
 
     chain = _build_chain(np.asarray(spec.times)[future], t, n, c_tilt)
-    y = _sample_future(chain, x, m, rng, draws)
-    slots = _assemble_slots(spec, past, here, future, history, x, y)
-    v = eval_potential_array(spec, slots, u_ext)  # lead + (draws,)
-    logw = -(n * n) * (v - c_tilt * _future_norm2(y))
+    slots, logw = _draw(spec, chain, parts, history, x, draws, rng, u_ext)  # lead + (draws,)
     grads = gradient_potential_array(spec, slots, u_ext)  # lead + (draws, k, m, n, n)
     live = list(here) + list(future)
     integ = -np.sum(grads[..., live, :, :, :], axis=-4)  # lead + (draws, m, n, n)
@@ -336,44 +349,30 @@ def drift_core_array(
         infl = np.einsum("...s,...smpq->...mpq", w**2, np.abs(dev) ** 2)
         infl /= (sw**2)[..., None, None, None]
         stderr = np.sqrt(infl.sum(axis=(-1, -2, -3)) / n)
-        return {"b": hermitize(b), "stderr": stderr, "ess": ess}
+        return {"b": hermitize(b), "stderr": stderr, "ess": ess, "deterministic": False}
 
-    full = reduce(slice(None))
-    out = {
-        "b": full["b"],
-        "stderr": full["stderr"],
-        "ess": full["ess"],
-        "deterministic": False,
-    }
+    out = reduce(slice(None))
     if split:
-        h1 = reduce(slice(0, draws // 2))
-        h2 = reduce(slice(draws // 2, draws))
-        out["b1"], out["b2"] = h1["b"], h2["b"]
+        out["b1"] = reduce(slice(0, draws // 2))["b"]
+        out["b2"] = reduce(slice(draws // 2, draws))["b"]
     else:
-        out["b1"] = out["b2"] = full["b"]
+        out["b1"] = out["b2"] = out["b"]
     return out
 
 
-def _drift_core(q: ValueQuery, c_tilt: float, u_ext: Optional[np.ndarray], split: bool = False):
-    """Single-state wrapper of :func:`drift_core_array` returning TupleEstimates."""
-    hist = _stack_history(q.history)
+def _drift(q: ValueQuery, c_tilt: float, u_ext: Optional[np.ndarray]) -> TupleEstimate:
+    """Single-state drift estimate of :func:`drift_core_array` as a TupleEstimate."""
     res = drift_core_array(
-        q.spec, q.t, hist, q.x.data, q.samples, q.rng, c_tilt, u_ext, split=split
+        q.spec, q.t, _stack_history(q.history), q.x.data, q.samples, q.rng, c_tilt, u_ext
     )
-    det = res.get("deterministic", False)
-    samples = 0 if det else q.samples
-
-    def wrap(b, nsamp) -> TupleEstimate:
-        meta = {"ess": float(res["ess"])} if not det else {"deterministic": True}
-        est = TupleEstimate(HermitianTuple(b), float(res["stderr"]), nsamp, meta)
-        if not det and float(res["ess"]) < 0.01 * max(nsamp, 1):
-            est.meta["warning"] = f"effective sample size {float(res['ess']):.1f} below 1% of budget"
-        return est
-
-    full = wrap(res["b"], samples)
-    if split:
-        return full, wrap(res["b1"], samples // 2), wrap(res["b2"], samples - samples // 2)
-    return full, full, full
+    b = HermitianTuple(res["b"])
+    if res["deterministic"]:
+        return TupleEstimate(b, 0.0, 0, {"deterministic": True})
+    ess = float(res["ess"])
+    est = TupleEstimate(b, float(res["stderr"]), q.samples, {"ess": ess})
+    if ess < 0.01 * max(q.samples, 1):
+        est.meta["warning"] = f"effective sample size {ess:.1f} below 1% of budget"
+    return est
 
 
 def drift_logratio(q: ValueQuery, u_ext: Optional[np.ndarray] = None) -> TupleEstimate:
@@ -382,8 +381,7 @@ def drift_logratio(q: ValueQuery, u_ext: Optional[np.ndarray] = None) -> TupleEs
     Numerator and denominator share the same sampled futures.  Uses the
     query's tilt only if explicitly set (default: prior Brownian samples).
     """
-    est, _, _ = _drift_core(q, q.tilt_coefficient(), u_ext)
-    return est
+    return _drift(q, q.tilt_coefficient(), u_ext)
 
 
 def drift_gradexp(q: ValueQuery, u_ext: Optional[np.ndarray] = None) -> TupleEstimate:
@@ -392,14 +390,7 @@ def drift_gradexp(q: ValueQuery, u_ext: Optional[np.ndarray] = None) -> TupleEst
     Self-normalized importance sampling under the quadratically tilted
     bridge; defaults to the automatic tilt when the query does not set one.
     """
-    c_tilt = q.spec.quad_coefficient() if q.tilt is None else q.tilt_coefficient()
-    est, _, _ = _drift_core(q, c_tilt, u_ext)
+    est = _drift(q, resolve_tilt(q.spec, "auto" if q.tilt is None else q.tilt), u_ext)
     if "warning" in est.meta:
         warnings.warn(est.meta["warning"])
     return est
-
-
-def drift_split(q: ValueQuery, u_ext: Optional[np.ndarray] = None):
-    """Full plus two half-batch drift estimates (for unbiased ||b||^2 products)."""
-    c_tilt = q.spec.quad_coefficient() if q.tilt is None else q.tilt_coefficient()
-    return _drift_core(q, c_tilt, u_ext, split=True)

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from hermflow.cli import main
+from hermflow.cli import load_config, main
 from hermflow.potentials import quadratic_spec, spec_to_dict
 
 
@@ -38,6 +39,14 @@ class TestValidation:
         assert rc == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_boolean_budget_exit_2(self, tmp_path, capsys):
+        doc = quad_doc()
+        doc["budgets"]["paths"] = True
+        cfg = write_config(tmp_path, doc)
+        rc = main(["laplace-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "budgets.paths" in capsys.readouterr().err
+
     def test_bad_budget_field_named(self, tmp_path, capsys):
         doc = quad_doc()
         doc["budgets"]["bogus"] = 3
@@ -49,6 +58,49 @@ class TestValidation:
     def test_unreadable_config(self, tmp_path, capsys):
         rc = main(["laplace-verify", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("tilt", ["bogus", -0.5, [0.3]])
+    def test_bad_tilt_exit_2(self, tmp_path, capsys, tilt):
+        doc = quad_doc()
+        doc["tilt"] = tilt
+        cfg = write_config(tmp_path, doc)
+        rc = main(["laplace-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "tilt" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_tilt_without_spec_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"seed": 5, "tilt": "bogus"})
+        rc = main(["yosida-test", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "tilt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", [0, -4, 2.5, "8", True])
+    def test_bad_grid_steps_exit_2(self, tmp_path, capsys, steps):
+        doc = quad_doc()
+        doc["grid_steps"] = steps
+        cfg = write_config(tmp_path, doc)
+        rc = main(["sde-run", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "grid_steps" in capsys.readouterr().err
+
+    def test_grid_steps_sets_budget(self):
+        cfg = load_config("sde-run", {**quad_doc(), "grid_steps": 12})
+        assert cfg.budgets["grid_steps"] == 12
+
+    def test_threads_other_than_1_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quad_doc())
+        with pytest.raises(SystemExit) as exc:
+            main(["laplace-verify", "--config", cfg, "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_report_echoes_raw_tilt(self, tmp_path):
+        cfg = write_config(tmp_path, {"seed": 5, "tilt": 1})
+        out = tmp_path / "out"
+        assert main(["yosida-test", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        echo = json.loads((out / "report.json").read_text())["config"]["tilt"]
+        assert echo == 1 and isinstance(echo, int)
 
 
 class TestLaplaceVerify:
@@ -102,7 +154,7 @@ class TestOtherCommands:
         doc["budgets"] = {"chain_steps": 1500, "chains": 2}
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        rc = main(["gibbs-sample", "--config", cfg, "--out", str(out), "--threads", "2"])
+        rc = main(["gibbs-sample", "--config", cfg, "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         entry = report["results"]["gibbs"]["6"]

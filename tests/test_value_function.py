@@ -14,6 +14,7 @@ from hermflow.value_function import (
     ValueQuery,
     drift_gradexp,
     drift_logratio,
+    resolve_tilt,
     value_h,
 )
 
@@ -27,6 +28,28 @@ def rand_tuple(n, m, rng, scale=1.0):
 def zero_spec():
     comp = PotentialComponent(offset=1.0, quad=0.0)
     return PotentialSpec(times=(1.0,), components=(comp,), p=2.0, offset=-1.0, m=1)
+
+
+@pytest.mark.parametrize(
+    "tilt, want",
+    [(None, 0.0), ("auto", 0.5), (0, 0.0), (0.3, 0.3), (2, 2.0), (np.float64(0.7), 0.7)],
+)
+def test_resolve_tilt(tilt, want):
+    c = resolve_tilt(quadratic_spec(0.5), tilt)
+    assert c == want and isinstance(c, float)
+
+
+@pytest.mark.parametrize("tilt", ["bogus", "AUTO", "", -0.1, -1, float("nan"), float("inf"), True])
+def test_resolve_tilt_rejects(tilt):
+    with pytest.raises(ValueError):
+        resolve_tilt(quadratic_spec(0.5), tilt)
+
+
+def test_query_tilt_coefficient_uses_resolve_tilt():
+    spec = quadratic_spec(0.5)
+    for tilt in (None, "auto", 0.25):
+        q = ValueQuery(spec, 0.0, [], HermitianTuple.zeros(4, 1), 10, stream(1), tilt=tilt)
+        assert q.tilt_coefficient() == resolve_tilt(spec, tilt)
 
 
 def test_oracle_self_consistency():

@@ -96,9 +96,7 @@ def load_config(command: str, doc: dict, seed_override=None, out_override=None) 
             fld = "spec.p" if " p " in f" {msg} " or msg.startswith("p ") else "spec"
             raise ConfigError(fld, msg) from exc
     n_list = doc.get("n_list", doc.get("N", [8]))
-    if not isinstance(n_list, list) or not n_list or not all(
-        isinstance(v, int) and v >= 1 for v in n_list
-    ):
+    if not isinstance(n_list, list) or not n_list or not all(_positive_int(v) for v in n_list):
         raise ConfigError("n_list", "must be a nonempty list of positive integers")
     budgets = dict(DEFAULT_BUDGETS)
     user_budgets = doc.get("budgets", {})
@@ -123,7 +121,7 @@ def load_config(command: str, doc: dict, seed_override=None, out_override=None) 
     seed = seed_override if seed_override is not None else doc.get("seed")
     if seed is None:
         raise ConfigError("seed", "seed is mandatory (reproducibility)")
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed", "must be a nonnegative integer")
     out_dir = Path(out_override or doc.get("output", "out"))
     return ExperimentConfig(

@@ -131,12 +131,15 @@ def mala_sample(
     """
     k, m, n = ens.spec.k, ens.spec.m, ens.n
     burn_in = steps // 4 if burn_in is None else burn_in
+    if burn_in < 0 or thin < 1:
+        raise ValueError(f"need burn_in >= 0 and thin >= 1, got {burn_in} and {thin}")
     v = _embed_state(ens.state)
     slots = ens.state
     logp = _log_density(ens, slots)
     grad = _grad_log_density_embedded(ens, slots)
     eps = ens.step
-    out = []
+    kept = range(burn_in, steps, thin)  # iterations whose state is kept
+    samples = np.empty((len(kept),) + slots.shape, dtype=complex)
     track = []
     window_acc = []
     for it in range(steps):
@@ -157,8 +160,8 @@ def mala_sample(
         if adapt and it < burn_in and (it + 1) % 25 == 0:
             rate = float(np.mean(window_acc[-25:]))
             eps *= float(np.exp(0.4 * (rate - ens.target_acceptance)))
-        if it >= burn_in and (it - burn_in) % thin == 0:
-            out.append(slots.copy())
+        if it in kept:
+            samples[len(track)] = slots
             track.append(float(np.sum(np.abs(slots[0]) ** 2) / n))
     ens.state = slots
     ens.step = eps
@@ -167,12 +170,13 @@ def mala_sample(
         raise AcceptanceCollapse(
             f"acceptance rate {rate:.3f} < 5%; reduce the step size or check the potential scaling"
         )
-    samples = np.stack(out, axis=0)
+    if not kept:
+        raise ValueError(f"no sample kept: burn_in {burn_in} >= steps {steps}")
     diag = {
         "acceptance": rate,
         "step": eps,
         "ess": _ess_autocorr(np.asarray(track)),
-        "draws": len(out),
+        "draws": len(kept),
         "trace_norm2": track,
     }
     return samples, diag

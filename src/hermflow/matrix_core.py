@@ -10,6 +10,10 @@ Conventions used throughout the package:
   sum_k (1/n) Tr(x_k^2).
 * The real embedding is isometric for the *unnormalized* Hilbert-Schmidt
   norm: ||embed(x)||^2 = sum_k Tr(x_k^2).
+
+Memory: :func:`sample_increment_array` allocates only its complex output
+and a real scratch block of at most ``_BLOCK_NORMALS`` normals, and
+:func:`norm2_array` needs one real array of half the input's size.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITIAN_RTOL = 1e-12
+_BLOCK_NORMALS = 1 << 18  # real scratch of sample_increment_array: 2 MiB
 
 
 def stream(seed: int, worker: int = 0) -> np.random.Generator:
@@ -151,13 +156,29 @@ def sample_increment_array(
 
     E[Tr M_k^2] = n^2 * dt: diagonal entries N(0, dt), off-diagonal complex
     entries with real and imaginary parts each N(0, dt/2).
+
+    The normals go through one reused real block of at most
+    ``_BLOCK_NORMALS`` entries straight into the complex output: all real
+    parts first, then all imaginary parts, in the same stream order and with
+    the same arithmetic as ``(a + conj(a^T)) * 0.5 * sqrt(dt)`` on the
+    complex draw ``a``.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    shape = tuple(batch) + (m, n, n)
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    h = (a + np.conj(np.swapaxes(a, -1, -2))) * 0.5  # diag var 1, offdiag re/im var 1/2
-    return h * np.sqrt(dt)
+    h = np.empty(tuple(batch) + (m, n, n), dtype=complex)
+    flat = h.reshape(-1, n, n)
+    per_block = max(1, _BLOCK_NORMALS // (n * n))
+    scratch = np.empty((min(per_block, flat.shape[0]), n, n))
+    scale = np.sqrt(dt)
+    for part, combine in ((flat.real, np.add), (flat.imag, np.subtract)):
+        for lo in range(0, flat.shape[0], per_block):
+            a = scratch[: min(per_block, flat.shape[0] - lo)]
+            rng.standard_normal(out=a)
+            dst = part[lo : lo + a.shape[0]]
+            combine(a, np.swapaxes(a, -1, -2), out=dst)  # diag var 1, offdiag re/im var 1/2
+            dst *= 0.5
+            dst *= scale
+    return h
 
 
 def sample_increment(n: int, m: int, dt: float, rng: np.random.Generator) -> HermitianTuple:
@@ -230,7 +251,8 @@ def cayley_inverse(u: np.ndarray) -> np.ndarray:
 def norm2_array(data: np.ndarray) -> np.ndarray:
     """sum_k (1/n) Tr(x_k^2) for (..., m, n, n) Hermitian arrays."""
     n = data.shape[-1]
-    sq = np.abs(data) ** 2  # Tr(x^2) = sum |x_ij|^2 for Hermitian x
+    sq = np.abs(data)
+    np.square(sq, out=sq)  # Tr(x^2) = sum |x_ij|^2 for Hermitian x
     return sq.sum(axis=(-1, -2, -3)) / n
 
 

@@ -18,6 +18,11 @@ from a quadratically tilted Gaussian bridge: the Gaussian part of the tilt
 integrates in closed form and the sampled weights only carry the residual.
 :func:`resolve_tilt` maps ``"auto"`` to the potential's aggregate quadratic
 coefficient and None to 0 (the plain estimator).
+
+Memory: a draw is scaled and shifted in the sampler's own output, and when
+every slot lies in the future that buffer is the slot array itself, so one
+chunk holds about one slot array plus real scratch (the sampler's block and
+the half-size ``|y|^2`` of the norms).
 """
 
 from __future__ import annotations
@@ -175,15 +180,20 @@ def _sample_future(
 ) -> np.ndarray:
     """Future slot values y_j = x + z_j under the (tilted) chain.
 
-    x: (..., m, n, n); returns (..., draws, k_future, m, n, n).
+    x: (..., m, n, n); returns (..., draws, k_future, m, n, n), built in the
+    sampler's output (one extra array only for the k_future > 1 mixing).
     """
     n = chain.n
     kf = chain.k_future
     lead = x.shape[:-3]
-    w = sample_increment_array(n, m, 1.0, rng, batch=lead + (draws, kf))
-    z = np.einsum("jb,...bmpq->...jmpq", chain.chol_t, w)
+    y = sample_increment_array(n, m, 1.0, rng, batch=lead + (draws, kf))
+    if kf == 1:
+        y *= chain.chol_t[0, 0]  # a 1 x 1 Cholesky factor scales the draws in place
+    else:
+        y = np.einsum("jb,...bmpq->...jmpq", chain.chol_t, y)
     mu = chain.mu_coef[:, None, None, None] * x[..., None, :, :, :]  # (..., kf, m, n, n)
-    y = x[..., None, None, :, :, :] + z + np.expand_dims(mu, axis=-5)
+    y += x[..., None, None, :, :, :]
+    y += np.expand_dims(mu, axis=-5)
     return y
 
 
@@ -192,6 +202,8 @@ def _assemble_slots(
 ) -> np.ndarray:
     """Stack history / boundary / sampled future into (..., draws, k, m, n, n)."""
     past_idx, here_idx, future_idx = parts
+    if len(future_idx) == spec.k:
+        return y_future  # every slot is a future slot: the draw already has the slot layout
     lead = x.shape[:-3]
     draws = y_future.shape[-5]
     k, m, n = spec.k, spec.m, x.shape[-1]
@@ -237,7 +249,7 @@ def _draw(
     y = _sample_future(chain, x, spec.m, rng, draws)
     y_norm2 = norm2_array(y.reshape(y.shape[:-4] + (-1, n, n)))
     slots = _assemble_slots(spec, parts, history, x, y)
-    del y  # copied into slots; free it before the potential's temporaries
+    del y  # when slots is a copy, free the draw before the potential's temporaries
     v = eval_potential_array(spec, slots, u_ext)
     return slots, -(n * n) * (v - chain.c * y_norm2)
 
@@ -249,7 +261,10 @@ def value_h(q: ValueQuery, u_ext: Optional[np.ndarray] = None, chunk: int = 5000
     """Normalized cost-to-go (1/n^2) h_t at (history, x); see module docstring.
 
     Large budgets are processed in chunks with a running-max rescale of the
-    weight accumulators (streaming log-mean-exp).
+    weight accumulators (streaming log-mean-exp).  Only a chunk's log-weights
+    outlive its draw, so memory is about one chunk's slot array
+    (``chunk * k * m * n^2`` complex numbers) plus real scratch; with past or
+    boundary slots the future draw is copied into it once.
     """
     spec, x = q.spec, q.x
     n = x.n
@@ -335,26 +350,28 @@ def drift_core_array(
     live = list(here) + list(future)
     integ = -np.sum(grads[..., live, :, :, :], axis=-4)  # lead + (draws, m, n, n)
 
-    def reduce(sl) -> dict:
+    def weighted_mean(sl):
+        """Weights, their sum and the self-normalized mean of ``integ`` over draws ``sl``."""
         lw = logw[..., sl]
         mx = lw.max(axis=-1, keepdims=True)
         if not np.all(np.isfinite(mx)):
             raise EstimatorUnderflow("all weights underflowed; use a tilt or a larger budget")
         w = np.exp(lw - mx)
         sw = w.sum(axis=-1)
-        ess = sw**2 / np.einsum("...s,...s->...", w, w)
         b = np.einsum("...s,...smpq->...mpq", w, integ[..., sl, :, :, :])
         b /= sw[..., None, None, None]
-        dev = integ[..., sl, :, :, :] - b[..., None, :, :, :]
-        infl = np.einsum("...s,...smpq->...mpq", w**2, np.abs(dev) ** 2)
-        infl /= (sw**2)[..., None, None, None]
-        stderr = np.sqrt(infl.sum(axis=(-1, -2, -3)) / n)
-        return {"b": hermitize(b), "stderr": stderr, "ess": ess, "deterministic": False}
+        return w, sw, b
 
-    out = reduce(slice(None))
-    if split:
-        out["b1"] = reduce(slice(0, draws // 2))["b"]
-        out["b2"] = reduce(slice(draws // 2, draws))["b"]
+    w, sw, b = weighted_mean(slice(None))
+    ess = sw**2 / np.einsum("...s,...s->...", w, w)
+    dev = integ - b[..., None, :, :, :]
+    infl = np.einsum("...s,...smpq->...mpq", w**2, np.abs(dev) ** 2)
+    infl /= (sw**2)[..., None, None, None]
+    stderr = np.sqrt(infl.sum(axis=(-1, -2, -3)) / n)
+    out = {"b": hermitize(b), "stderr": stderr, "ess": ess, "deterministic": False}
+    if split:  # the half-batch estimates need no diagnostics
+        out["b1"] = hermitize(weighted_mean(slice(0, draws // 2))[2])
+        out["b2"] = hermitize(weighted_mean(slice(draws // 2, draws))[2])
     else:
         out["b1"] = out["b2"] = out["b"]
     return out

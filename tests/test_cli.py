@@ -47,6 +47,20 @@ class TestValidation:
         assert rc == 2
         assert "budgets.paths" in capsys.readouterr().err
 
+    def test_boolean_seed_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quad_doc(seed=True))
+        rc = main(["laplace-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_boolean_n_list_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, quad_doc(n_list=(True,)))
+        rc = main(["laplace-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "n_list" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_budget_field_named(self, tmp_path, capsys):
         doc = quad_doc()
         doc["budgets"]["bogus"] = 3

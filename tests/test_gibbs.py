@@ -112,6 +112,26 @@ class TestMALA:
         with pytest.raises(AcceptanceCollapse):
             mala_sample(ens, 400, stream(126), adapt=False)
 
+    def test_kept_samples_are_the_thinned_chain(self):
+        # without adaptation the chain does not depend on burn_in or thin
+        spec = quadratic_spec(0.5)
+        full, _ = mala_sample(GibbsEnsemble(spec, 4, step=0.3), 60, stream(128), 0, 1, False)
+        kept, diag = mala_sample(GibbsEnsemble(spec, 4, step=0.3), 60, stream(128), 10, 7, False)
+        assert kept.shape == (len(range(10, 60, 7)), 1, 1, 4, 4)
+        assert np.array_equal(kept, full[10::7])
+        assert diag["draws"] == len(diag["trace_norm2"]) == kept.shape[0]
+
+    def test_no_kept_sample_raises(self):
+        ens = GibbsEnsemble(quadratic_spec(0.5), 4, step=0.3)
+        with pytest.raises(ValueError):
+            mala_sample(ens, 40, stream(129), burn_in=40)
+
+    @pytest.mark.parametrize("burn_in, thin", [(-1, 5), (0, 0)])
+    def test_bad_burn_in_or_thin_raises(self, burn_in, thin):
+        ens = GibbsEnsemble(quadratic_spec(0.5), 4, step=0.3)
+        with pytest.raises(ValueError):
+            mala_sample(ens, 40, stream(129), burn_in=burn_in, thin=thin)
+
 
 class TestSDResidual:
     def test_constant_polynomial_exact_zero(self):

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hermflow import matrix_core
 from hermflow.matrix_core import (
     HermitianTuple,
     UnitaryTuple,
@@ -28,6 +31,14 @@ def random_tuple(n, m, rng, scale=1.0):
     return HermitianTuple(sample_increment_array(n, m, 1.0, rng) * scale)
 
 
+def complex_draw_increment(n, m, dt, rng, batch=()):
+    """Reference sampler: one complex normal array, then (a + a*^T) / 2 * sqrt(dt)."""
+    shape = tuple(batch) + (m, n, n)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h = (a + np.conj(np.swapaxes(a, -1, -2))) * 0.5
+    return h * np.sqrt(dt)
+
+
 class TestSampleIncrement:
     def test_trace_normalization(self):
         # E[(1/N) Tr((M/sqrt(N))^2)] = dt; dt=1, N=16, 1e4 draws
@@ -48,6 +59,39 @@ class TestSampleIncrement:
         assert np.isclose(diag.var(), dt, rtol=0.1)
         assert np.isclose(offr.var(), dt / 2, rtol=0.1)
         assert np.isclose(offi.var(), dt / 2, rtol=0.1)
+
+    @pytest.mark.parametrize(
+        "n, m, dt, batch",
+        [
+            (5, 1, 1.0, ()),
+            (4, 2, 1.0, ()),
+            (3, 2, 0.37, (4, 3)),
+            (4, 1, 2.5, (matrix_core._BLOCK_NORMALS // 16 + 3,)),  # crosses a block boundary
+            (4, 2, 0.5, (matrix_core._BLOCK_NORMALS // 32 + 1,)),
+        ],
+    )
+    def test_bit_exact_against_complex_draw(self, n, m, dt, batch):
+        rng_a, rng_b = stream(61), stream(61)
+        got = sample_increment_array(n, m, dt, rng_a, batch)
+        want = complex_draw_increment(n, m, dt, rng_b, batch)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        assert rng_a.standard_normal() == rng_b.standard_normal()  # same draws consumed
+
+    def test_bit_exact_across_many_small_blocks(self, monkeypatch):
+        monkeypatch.setattr(matrix_core, "_BLOCK_NORMALS", 50)  # 5 matrices per block at n=3
+        got = sample_increment_array(3, 2, 0.8, stream(62), batch=(7,))  # 14 = 5 + 5 + 4
+        assert np.array_equal(got, complex_draw_increment(3, 2, 0.8, stream(62), (7,)))
+
+    def test_peak_memory_is_one_output(self):
+        tracemalloc.start()
+        try:
+            out = sample_increment_array(16, 1, 1.0, stream(63), batch=(10_000,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * out.nbytes
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):

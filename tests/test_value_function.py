@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,10 @@ from hermflow.potentials import PotentialComponent, PotentialSpec, quadratic_spe
 from hermflow.value_function import (
     EstimatorUnderflow,
     ValueQuery,
+    _assemble_slots,
+    _build_chain,
+    _sample_future,
+    _split_times,
     drift_gradexp,
     drift_logratio,
     resolve_tilt,
@@ -23,6 +29,15 @@ from oracles import quad_value, quad_drift_coeff, quad_value_by_quadrature
 
 def rand_tuple(n, m, rng, scale=1.0):
     return HermitianTuple(scale * sample_increment_array(n, m, 1.0, rng))
+
+
+def einsum_sample_future(chain, x, m, rng, draws):
+    """Reference future draw: Cholesky factor by einsum, then x + z + mu as new arrays."""
+    lead = x.shape[:-3]
+    w = sample_increment_array(chain.n, m, 1.0, rng, batch=lead + (draws, chain.k_future))
+    z = np.einsum("jb,...bmpq->...jmpq", chain.chol_t, w)
+    mu = chain.mu_coef[:, None, None, None] * x[..., None, :, :, :]
+    return x[..., None, None, :, :, :] + z + np.expand_dims(mu, axis=-5)
 
 
 def zero_spec():
@@ -291,3 +306,43 @@ class TestDriftTimeHoelder:
         assert np.isfinite(ratios).all() and ratios.max() < 10 * max(ratios.min(), 1e-12)
         slope = np.polyfit(np.log(gaps), np.log(diffs), 1)[0]
         assert slope >= 0.25
+
+
+class TestCopyFreeFutures:
+    @pytest.mark.parametrize(
+        "times, m, lead",
+        [((1.0,), 1, ()), ((1.0,), 2, (3,)), ((0.5, 1.0), 1, ()), ((0.5, 1.0), 2, (2,))],
+    )
+    def test_sample_future_bit_exact(self, times, m, lead):
+        n, draws = 4, 37
+        chain = _build_chain(np.asarray(times), 0.0, n, 0.6)
+        x = 0.3 * sample_increment_array(n, m, 1.0, stream(80), batch=lead)
+        got = _sample_future(chain, x, m, stream(81), draws)
+        want = einsum_sample_future(chain, x, m, stream(81), draws)
+        assert got.shape == lead + (draws, len(times), m, n, n)
+        assert np.array_equal(got, want)
+
+    def test_all_future_slots_reuse_the_draw(self):
+        comp = PotentialComponent(offset=1.0, quad=0.4)
+        spec = PotentialSpec(times=(0.5, 1.0), components=(comp,), p=2.0, offset=-1.0, m=1)
+        chain = _build_chain(np.asarray(spec.times), 0.0, 4, 0.4)
+        x = np.zeros((1, 4, 4), dtype=complex)
+        y = _sample_future(chain, x, 1, stream(82), 5)
+        assert _assemble_slots(spec, _split_times(spec, 0.0), np.zeros((0,)), x, y) is y
+
+    def test_value_h_peak_memory_bounded_by_two_slot_arrays(self):
+        # one 50 000-draw chunk at n=16: the slot array is 50000 * 16 * 16 complex
+        n, samples = 16, 50_000
+        q = ValueQuery(
+            quadratic_spec(0.5), 0.0, [], HermitianTuple.zeros(n, 1), samples, stream(83),
+            tilt="auto",
+        )
+        slot_bytes = samples * n * n * np.dtype(complex).itemsize
+        tracemalloc.start()
+        try:
+            est = value_h(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * slot_bytes
+        assert est.value == pytest.approx(0.5 * np.log(2.0), abs=1e-9)

@@ -21,7 +21,6 @@ from .matrix_core import (
 )
 from .nc_poly import NCPolynomial, TensorPolynomial, parse_word
 from .potentials import (
-    GradientScale,
     PotentialComponent,
     PotentialSpec,
     eval_potential,
@@ -45,7 +44,6 @@ __all__ = [
     "UnitaryTuple",
     "NCPolynomial",
     "TensorPolynomial",
-    "GradientScale",
     "PotentialComponent",
     "PotentialSpec",
     "TupleEstimate",

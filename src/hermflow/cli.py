@@ -95,6 +95,12 @@ def load_config(command: str, doc: dict, seed_override=None, out_override=None) 
             msg = str(exc)
             fld = "spec.p" if " p " in f" {msg} " or msg.startswith("p ") else "spec"
             raise ConfigError(fld, msg) from exc
+        for i, comp in enumerate(spec.components):
+            if comp.word is not None and comp.word.letter_indices("v"):
+                raise ConfigError(
+                    f"spec.components[{i}].word",
+                    "external unitaries (v letters) cannot be supplied by a config",
+                )
     n_list = doc.get("n_list", doc.get("N", [8]))
     if not isinstance(n_list, list) or not n_list or not all(_positive_int(v) for v in n_list):
         raise ConfigError("n_list", "must be a nonempty list of positive integers")
@@ -393,16 +399,25 @@ RUNNERS = {
 }
 
 
+_NUMERICAL_FAILURES = (
+    EstimatorUnderflow,
+    gibbs.AcceptanceCollapse,
+    sde.PathExplosion,
+    sde.PicardNonContraction,
+    yosida.ProxFailure,
+    np.linalg.LinAlgError,
+)
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute a command; write report.json and tables; return the exit code."""
-    if cfg.spec is not None:
-        cfg_spec, shifts = ensure_component_floor(
-            cfg.spec, max(cfg.n_list), stream(cfg.seed, worker=999)
-        )
-        cfg.spec = cfg_spec
     try:
+        if cfg.spec is not None:
+            cfg.spec = ensure_component_floor(
+                cfg.spec, max(cfg.n_list), stream(cfg.seed, worker=999)
+            )[0]
         results, checks = RUNNERS[cfg.command](cfg)
-    except EstimatorUnderflow as exc:
+    except _NUMERICAL_FAILURES as exc:
         log.error("numerical failure: %s", exc)
         _write_report(cfg, {"error": str(exc)}, [], ok=False)
         return 1

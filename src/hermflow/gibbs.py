@@ -26,9 +26,9 @@ from .matrix_core import HermitianTuple, _embed_array, _unembed_array
 from .nc_poly import NCPolynomial, bitrace_array, eval_poly_array, free_difference_quotient
 from .potentials import (
     PotentialSpec,
+    _evaluate,
     brownian_slot_sample,
     eval_bridge_potential_array,
-    eval_potential_array,
     gradient_bridge_potential_array,
     gradient_potential_array,
 )
@@ -80,16 +80,13 @@ class GibbsEnsemble:
         return self.accepted / self.proposed if self.proposed else float("nan")
 
 
-def _log_density(ens: GibbsEnsemble, slots: np.ndarray) -> float:
-    n = ens.n
-    val = eval_potential_array(ens.spec, slots[None], ens.u_ext)[0]
-    val = val + eval_bridge_potential_array(ens.spec.times, slots[None])[0]
-    return -float(n * n * val)
-
-
-def _grad_log_density_embedded(ens: GibbsEnsemble, slots: np.ndarray) -> np.ndarray:
-    xi = score_array(ens.spec, slots[None], ens.u_ext)[0]  # (k, m, n, n)
-    return _embed_array(xi).ravel()
+def _log_density_and_score(ens: GibbsEnsemble, slots: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log density at one state and its score in embedded coordinates, from one potential pass."""
+    n, times = ens.n, ens.spec.times
+    _, val, g = _evaluate(ens.spec, slots[None], ens.u_ext, grad=True)
+    logp = -float(n * n * (val[0] + eval_bridge_potential_array(times, slots[None])[0]))
+    xi = -n * (g + gradient_bridge_potential_array(times, slots[None]))  # score_array's formula
+    return logp, _embed_array(xi[0]).ravel()
 
 
 def _embed_state(slots: np.ndarray) -> np.ndarray:
@@ -109,9 +106,8 @@ def mala_log_ratio(ens: GibbsEnsemble, slots_a: np.ndarray, slots_b: np.ndarray)
     """log of the acceptance ratio for a proposed move a -> b (MALA kernel)."""
     eps = ens.step
     va, vb = _embed_state(slots_a), _embed_state(slots_b)
-    ga = _grad_log_density_embedded(ens, slots_a)
-    gb = _grad_log_density_embedded(ens, slots_b)
-    la, lb = _log_density(ens, slots_a), _log_density(ens, slots_b)
+    la, ga = _log_density_and_score(ens, slots_a)
+    lb, gb = _log_density_and_score(ens, slots_b)
     return lb - la + _log_proposal(va, vb, gb, eps) - _log_proposal(vb, va, ga, eps)
 
 
@@ -135,8 +131,7 @@ def mala_sample(
         raise ValueError(f"need burn_in >= 0 and thin >= 1, got {burn_in} and {thin}")
     v = _embed_state(ens.state)
     slots = ens.state
-    logp = _log_density(ens, slots)
-    grad = _grad_log_density_embedded(ens, slots)
+    logp, grad = _log_density_and_score(ens, slots)
     eps = ens.step
     kept = range(burn_in, steps, thin)  # iterations whose state is kept
     samples = np.empty((len(kept),) + slots.shape, dtype=complex)
@@ -146,8 +141,7 @@ def mala_sample(
         xi = rng.standard_normal(v.size)
         v_prop = v + 0.5 * eps**2 * grad + eps * xi
         slots_prop = _unembed_state(v_prop, k, m, n)
-        logp_prop = _log_density(ens, slots_prop)
-        grad_prop = _grad_log_density_embedded(ens, slots_prop)
+        logp_prop, grad_prop = _log_density_and_score(ens, slots_prop)
         fwd = _log_proposal(v_prop, v, grad, eps)
         bwd = _log_proposal(v, v_prop, grad_prop, eps)
         log_alpha = logp_prop - logp + bwd - fwd

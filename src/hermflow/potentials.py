@@ -16,9 +16,7 @@ Gradients are exact matrix calculus.  Differentiating a Cayley letter uses
     d u(X)^eps [K] = -(eps / 8i) (u^eps - 1) K (u^eps - 1),
 
 so each occurrence of a Cayley letter contributes a resolvent-product term.
-The "scaled" gradient convention pairs with the normalized inner product
-<A, B> = sum_l (1/n) Tr(A_l B_l); "per-coordinate" multiplies by sqrt(n)
-(the raw-coordinate convention for states scaled up by sqrt(n)).
+Gradients pair with the normalized inner product <A, B> = sum_l (1/n) Tr(A_l B_l).
 """
 
 from __future__ import annotations
@@ -26,35 +24,20 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .matrix_core import (
     HermitianTuple,
     UnitaryTuple,
-    cayley,
     hermitize,
     norm2_array,
-    normalized_trace_array,
     sample_increment_array,
 )
-from .nc_poly import NCPolynomial, eval_word_array, parse_word, word_to_text
-
-
-@dataclass(frozen=True)
-class GradientScale:
-    """Gradient convention tag: 'scaled' (HS/n pairing) or 'per-coordinate'."""
-
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in ("scaled", "per-coordinate"):
-            raise ValueError(f"unknown gradient scale {self.tag!r}")
-
-
-SCALED = GradientScale("scaled")
-PER_COORDINATE = GradientScale("per-coordinate")
+from .nc_poly import NCPolynomial, _letter_matrices, parse_word, word_to_text
 
 
 @dataclass(frozen=True)
@@ -146,44 +129,91 @@ def _flatten_slots(slots: np.ndarray) -> np.ndarray:
     return slots.reshape(lead + (k * m, n, n))
 
 
+def _evaluate(spec: PotentialSpec, slots: np.ndarray, u_ext=None, grad: bool = False):
+    """One pass of the potential at slots (..., k, m, n, n).
+
+    Solves each Cayley letter once and multiplies each word once: the word's
+    trace comes from its last prefix product, associated left to right from
+    the first letter as in :func:`eval_word_array`.  Returns the component
+    values g_i (..., n_components), the value (...) and, when ``grad``, the
+    exact gradient shaped like ``slots`` (pairing sum_{j,l} (1/n)Tr), else None.
+    """
+    if slots.shape[-4] != spec.k or slots.shape[-3] != spec.m:
+        raise ValueError(
+            f"slot layout {slots.shape[-4:]} does not match spec (k={spec.k}, m={spec.m})"
+        )
+    n = slots.shape[-1]
+    flat = _flatten_slots(slots)
+    lead = flat.shape[:-3]
+    eye = np.broadcast_to(np.eye(n, dtype=complex), lead + (n, n))
+    cache: dict = {}  # flat letter index -> its Cayley transform
+    quad_sum = norm2_array(flat)  # sum_{j,l} tau(x^2)
+    vals, word_grads = [], []
+    for comp in spec.components:
+        v = comp.offset + comp.quad * quad_sum
+        terms = []  # per word term: (lambda * coeff, {flat index: un-hermitized grad of tau(word)})
+        if comp.word is not None and comp.word.terms:
+            acc = np.zeros(lead, dtype=complex)
+            for w, c in comp.word.terms.items():
+                mats = _letter_matrices(w, flat, u_ext, cache)
+                products = accumulate(mats, np.matmul)  # prefix products, from the first letter on
+                prefix = list(products) if grad else deque(products, maxlen=1)
+                acc = acc + c * (np.trace(prefix[-1] if mats else eye, axis1=-2, axis2=-1) / n)
+                if grad:
+                    suffix = list(accumulate(reversed(mats), lambda s, mat: mat @ s))[::-1]
+                    before, after = [eye] + prefix[:-1], suffix[1:] + [eye]  # letters < / > pos
+                    raw: dict[int, np.ndarray] = {}
+                    for pos, (kind, idx, exp) in enumerate(w):
+                        if kind != "u":
+                            continue
+                        # d u^eps[K] = -(eps/8i)(u^eps - 1) K (u^eps - 1), closed cyclically
+                        if 0 < pos < len(w) - 1:
+                            ring = after[pos] @ before[pos]
+                        else:  # an end letter: one side is the identity
+                            ring = after[pos] if pos == 0 else before[pos]
+                        a = mats[pos] - eye
+                        raw[idx] = raw.get(idx, 0) + (-(exp) / (8j)) * (a @ ring @ a)
+                    terms.append((comp.coupling * c, raw))
+            v = v + np.real(comp.coupling * acc)
+        vals.append(v)
+        word_grads.append(terms)
+    g = np.stack(vals, axis=-1)
+
+    if math.isinf(spec.p):
+        value = g.max(axis=-1)
+        if grad:  # the gradient of the max component (a.e.; ties broken by argmax)
+            weights = np.eye(g.shape[-1])[np.argmax(g, axis=-1)]
+    else:
+        s = np.sum(np.power(g, spec.p), axis=-1)
+        value = s ** (1.0 / spec.p)
+        if grad:
+            weights = np.power(g, spec.p - 1.0) * (s ** (1.0 / spec.p - 1.0))[..., None]
+    if not grad:
+        return g, spec.offset + value, None
+
+    grad_flat = np.zeros(flat.shape, dtype=complex)
+    for ci, comp in enumerate(spec.components):
+        wgt = weights[..., ci]
+        if comp.quad != 0.0:
+            grad_flat += (2.0 * comp.quad) * wgt[..., None, None, None] * flat
+        for lam, raw in word_grads[ci]:
+            for idx, r in raw.items():
+                grad_flat[..., idx - 1, :, :] += wgt[..., None, None] * hermitize(lam * r)
+    return g, spec.offset + value, grad_flat.reshape(slots.shape)
+
+
 def component_values_array(
     spec: PotentialSpec, slots: np.ndarray, u_ext: np.ndarray | None = None
 ) -> np.ndarray:
     """Per-component values g_i, shape (..., n_components)."""
-    return _component_values(spec, _flatten_slots(slots), u_ext, {})
-
-
-def _component_values(spec: PotentialSpec, flat: np.ndarray, u_ext, cache: dict) -> np.ndarray:
-    """:func:`component_values_array` on flat letters, filling the Cayley ``cache``."""
-    n = flat.shape[-1]
-    quad_sum = norm2_array(flat)  # sum_{j,l} tau(x^2)
-    vals = []
-    for comp in spec.components:
-        v = comp.offset + comp.quad * quad_sum
-        if comp.word is not None and comp.word.terms:
-            acc = np.zeros(flat.shape[:-3], dtype=complex)
-            for w, c in comp.word.terms.items():
-                tr = np.trace(eval_word_array(w, flat, u_ext, cache), axis1=-2, axis2=-1) / n
-                acc = acc + c * tr
-            v = v + np.real(comp.coupling * acc)
-        vals.append(v)
-    return np.stack(vals, axis=-1)
+    return _evaluate(spec, slots, u_ext)[0]
 
 
 def eval_potential_array(
     spec: PotentialSpec, slots: np.ndarray, u_ext: np.ndarray | None = None
 ) -> np.ndarray:
     """Batched potential value for slots of shape (..., k, m, n, n)."""
-    if slots.shape[-4] != spec.k or slots.shape[-3] != spec.m:
-        raise ValueError(
-            f"slot layout {slots.shape[-4:]} does not match spec (k={spec.k}, m={spec.m})"
-        )
-    g = component_values_array(spec, slots, u_ext)
-    if math.isinf(spec.p):
-        comb = g.max(axis=-1)
-    else:
-        comb = np.sum(np.power(g, spec.p), axis=-1) ** (1.0 / spec.p)
-    return spec.offset + comb
+    return _evaluate(spec, slots, u_ext)[1]
 
 
 def _stack_slots(xs) -> np.ndarray:
@@ -198,86 +228,17 @@ def eval_potential(spec: PotentialSpec, xs, u: UnitaryTuple | None = None) -> fl
     return float(eval_potential_array(spec, _stack_slots(xs), u_ext))
 
 
-def _word_trace_gradient(
-    word, x_flat: np.ndarray, u_ext, cache: dict
-) -> dict[int, np.ndarray]:
-    """Gradients of tau(word) w.r.t. each flat letter index (HS/n pairing).
-
-    Returns {flat_index: (..., n, n) complex}, not yet hermitized (callers
-    combine with the coupling before taking the Hermitian part).
-    """
-    from .nc_poly import _letter_matrices
-
-    n = x_flat.shape[-1]
-    mats = _letter_matrices(word, x_flat, u_ext, cache)
-    L = len(word)
-    lead = x_flat.shape[:-3]
-    eye = np.broadcast_to(np.eye(n, dtype=complex), lead + (n, n))
-    # prefix[j] = product of letters < j ; suffix[j] = product of letters >= j
-    prefix = [eye]
-    for mat in mats:
-        prefix.append(prefix[-1] @ mat)
-    suffix = [eye] * (L + 1)
-    for j in range(L - 1, -1, -1):
-        suffix[j] = mats[j] @ suffix[j + 1]
-    out: dict[int, np.ndarray] = {}
-    for pos, (kind, idx, exp) in enumerate(word):
-        if kind != "u":
-            continue
-        ue = mats[pos]  # u^eps already
-        ring = suffix[pos + 1] @ prefix[pos]  # B * A (cyclic closure)
-        out[idx] = out.get(idx, 0) + (-(exp) / (8j)) * ((ue - eye) @ ring @ (ue - eye))
-    return out
-
-
 def gradient_potential_array(
-    spec: PotentialSpec,
-    slots: np.ndarray,
-    u_ext: np.ndarray | None = None,
-    scale: GradientScale = SCALED,
+    spec: PotentialSpec, slots: np.ndarray, u_ext: np.ndarray | None = None
 ) -> np.ndarray:
-    """Exact gradient, shape like ``slots``: (..., k, m, n, n).
-
-    Scaled tag: pairing sum_{j,l} (1/n)Tr(G_j,l K_j,l).  Per-coordinate tag
-    multiplies by sqrt(n).
-    """
-    k, m, n = spec.k, spec.m, slots.shape[-1]
-    flat = _flatten_slots(slots)
-    lead = slots.shape[:-4]
-    cache: dict = {}  # one Cayley transform per letter for the values and the gradient
-    g = _component_values(spec, flat, u_ext, cache)  # (..., n_comp)
-
-    if math.isinf(spec.p):
-        # gradient of the max component (a.e.; ties broken by argmax)
-        sel = np.argmax(g, axis=-1)
-        weights = np.zeros(g.shape)
-        np.put_along_axis(weights, sel[..., None], 1.0, axis=-1)
-    else:
-        s = np.sum(np.power(g, spec.p), axis=-1)
-        weights = np.power(g, spec.p - 1.0) * (s ** (1.0 / spec.p - 1.0))[..., None]
-
-    grad_flat = np.zeros(lead + (k * m, n, n), dtype=complex)
-    for ci, comp in enumerate(spec.components):
-        wgt = weights[..., ci]  # (...,)
-        if comp.quad != 0.0:
-            grad_flat += (2.0 * comp.quad) * wgt[..., None, None, None] * flat
-        if comp.word is not None and comp.word.terms:
-            for w, coeff in comp.word.terms.items():
-                lam = comp.coupling * coeff
-                for idx, raw in _word_trace_gradient(w, flat, u_ext, cache).items():
-                    grad_flat[..., idx - 1, :, :] += wgt[..., None, None] * hermitize(lam * raw)
-    out = grad_flat.reshape(lead + (k, m, n, n))
-    if scale.tag == "per-coordinate":
-        out = out * np.sqrt(n)
-    return out
+    """Exact gradient, shape like ``slots``, for the pairing sum_{j,l} (1/n)Tr(G_j,l K_j,l)."""
+    return _evaluate(spec, slots, u_ext, grad=True)[2]
 
 
-def gradient_potential(
-    spec: PotentialSpec, xs, u: UnitaryTuple | None = None, scale: GradientScale = SCALED
-):
+def gradient_potential(spec: PotentialSpec, xs, u: UnitaryTuple | None = None):
     """Gradient of :func:`eval_potential` as one HermitianTuple per slot."""
     u_ext = u.data if u is not None and u.count else None
-    grads = gradient_potential_array(spec, _stack_slots(xs), u_ext, scale)
+    grads = gradient_potential_array(spec, _stack_slots(xs), u_ext)
     return [HermitianTuple(grads[j]) for j in range(spec.k)]
 
 
@@ -340,7 +301,8 @@ def ensure_component_floor(
     assumes the floor.
     """
     slots = brownian_slot_sample(spec.times, n, spec.m, rng, batch=(pilot,))
-    vals = component_values_array(spec, slots)
+    with np.errstate(invalid="ignore"):  # the combined value of a g_i < 0 at fractional p is NaN
+        vals = component_values_array(spec, slots)
     mins = vals.min(axis=0)
     shifts = [max(0.0, 1.0 - float(v)) for v in mins]
     if all(s == 0.0 for s in shifts):
@@ -376,14 +338,21 @@ def brownian_slot_sample(
 
 
 def spec_to_dict(spec: PotentialSpec) -> dict:
+    """The config form of ``spec``; a config word is one monomial with coefficient 1."""
     comps = []
-    for c in spec.components:
+    for i, c in enumerate(spec.components):
+        terms = {} if c.word is None else c.word.terms
+        if len(terms) > 1 or any(not w or coeff != 1 for w, coeff in terms.items()):
+            raise ValueError(
+                f"component {i}: word {c.word!r} is not a single nonempty monomial with "
+                "coefficient 1, which is all a config can express"
+            )
         entry = {
             "D": c.offset,
             "C": c.quad,
             "lambda_re": float(np.real(c.coupling)),
             "lambda_im": float(np.imag(c.coupling)),
-            "word": "" if c.word is None else word_to_text(next(iter(c.word.terms), ())),
+            "word": word_to_text(next(iter(terms), ())),
         }
         comps.append(entry)
     return {

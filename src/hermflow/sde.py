@@ -49,12 +49,6 @@ class ControlledPath:
     def state(self, i: int) -> HermitianTuple:
         return HermitianTuple(self.states[i])
 
-    def state_at(self, t: float) -> HermitianTuple:
-        i = int(np.argmin(np.abs(self.grid - t)))
-        if abs(self.grid[i] - t) > 1e-9:
-            raise KeyError(f"time {t} not on the grid")
-        return HermitianTuple(self.states[i])
-
 
 @dataclass
 class DriftField:

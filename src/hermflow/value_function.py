@@ -10,7 +10,8 @@ times above t.  The optimal drift is minus its gradient under the
 sum_l (1/n)Tr inner product.  One self-normalized estimator gives both from
 the same weighted futures: ``value_h`` reduces the weights by a streaming
 log-mean-exp, ``drift_core_array`` takes the weighted mean of the
-slot-gradient sum (with an effective-sample-size diagnostic).
+slot-gradient sum (with an effective-sample-size diagnostic), its weights
+and gradients coming from one pass of the potential kernel.
 ``drift_logratio`` defaults to no tilt, ``drift_gradexp`` to the automatic one.
 
 Exponential weights concentrate brutally as n grows, so the futures come
@@ -35,11 +36,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .matrix_core import HermitianTuple, hermitize, norm2_array, sample_increment_array
-from .potentials import (
-    PotentialSpec,
-    eval_potential_array,
-    gradient_potential_array,
-)
+from .potentials import PotentialSpec, _evaluate, eval_potential_array, gradient_potential_array
 
 _TIME_TOL = 1e-12
 
@@ -238,20 +235,22 @@ def _draw(
     draws: int,
     rng: np.random.Generator,
     u_ext: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+    grad: bool = False,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Sample the future slots and weight them.
 
-    Returns the slot array, lead + (draws, k, m, n, n), and the log-weights
-    -n^2 (V - c sum_j tau(y_j^2)), lead + (draws,), i.e. the potential over
-    the tilt whose Gaussian part :func:`_log_weight_closed` integrates.
+    Returns the log-weights -n^2 (V - c sum_j tau(y_j^2)), lead + (draws,),
+    i.e. the potential over the tilt whose Gaussian part
+    :func:`_log_weight_closed` integrates, and, when ``grad``, the potential's
+    gradient at the slots, lead + (draws, k, m, n, n), from the same pass.
     """
     n = x.shape[-1]
     y = _sample_future(chain, x, spec.m, rng, draws)
     y_norm2 = norm2_array(y.reshape(y.shape[:-4] + (-1, n, n)))
     slots = _assemble_slots(spec, parts, history, x, y)
     del y  # when slots is a copy, free the draw before the potential's temporaries
-    v = eval_potential_array(spec, slots, u_ext)
-    return slots, -(n * n) * (v - chain.c * y_norm2)
+    _, v, grads = _evaluate(spec, slots, u_ext, grad)
+    return -(n * n) * (v - chain.c * y_norm2), grads
 
 
 # -- public estimators -------------------------------------------------------
@@ -286,8 +285,7 @@ def value_h(q: ValueQuery, u_ext: Optional[np.ndarray] = None, chunk: int = 5000
     while remaining > 0:
         draws = min(remaining, chunk)
         remaining -= draws
-        # keep only the weights: no chunk's slots outlive its draw
-        logw = _draw(spec, chain, parts, hist, x.data, draws, q.rng, u_ext)[1]
+        logw = _draw(spec, chain, parts, hist, x.data, draws, q.rng, u_ext)[0]
         cmax = float(logw.max())
         if not np.isfinite(cmax):
             raise EstimatorUnderflow(
@@ -345,8 +343,7 @@ def drift_core_array(
         return {"b": b, "b1": b, "b2": b, "stderr": zeros, "ess": zeros, "deterministic": True}
 
     chain = _build_chain(np.asarray(spec.times)[future], t, n, c_tilt)
-    slots, logw = _draw(spec, chain, parts, history, x, draws, rng, u_ext)  # lead + (draws,)
-    grads = gradient_potential_array(spec, slots, u_ext)  # lead + (draws, k, m, n, n)
+    logw, grads = _draw(spec, chain, parts, history, x, draws, rng, u_ext, grad=True)
     live = list(here) + list(future)
     integ = -np.sum(grads[..., live, :, :, :], axis=-4)  # lead + (draws, m, n, n)
 

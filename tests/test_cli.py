@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from hermflow import cli, gibbs, sde, yosida
 from hermflow.cli import load_config, main
 from hermflow.potentials import quadratic_spec, spec_to_dict
+from hermflow.value_function import EstimatorUnderflow
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -69,6 +71,15 @@ class TestValidation:
         assert rc == 2
         assert "budgets.bogus" in capsys.readouterr().err
 
+    def test_external_unitary_letter_exit_2(self, tmp_path, capsys):
+        doc = quad_doc()
+        doc["spec"]["components"][0].update(lambda_re=0.05, word="u1 v1")
+        cfg = write_config(tmp_path, doc)
+        rc = main(["laplace-verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "spec.components[0].word" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         rc = main(["laplace-verify", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
@@ -115,6 +126,40 @@ class TestValidation:
         assert main(["yosida-test", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
         echo = json.loads((out / "report.json").read_text())["config"]["tilt"]
         assert echo == 1 and isinstance(echo, int)
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        EstimatorUnderflow("all weights underflowed"),
+        gibbs.AcceptanceCollapse("acceptance rate 0.010 < 5%"),
+        sde.PathExplosion("state norm exploded"),
+        sde.PicardNonContraction(1.2, [0.5, 0.6]),
+        yosida.ProxFailure(0.25, 7),
+        np.linalg.LinAlgError("Singular matrix"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_numerical_failure_writes_report(tmp_path, monkeypatch, exc):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setitem(cli.RUNNERS, "laplace-verify", fail)
+    out = tmp_path / "o"
+    assert main(["laplace-verify", "--config", write_config(tmp_path, quad_doc()), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["all_passed"] is False
+    assert report["results"]["error"] == str(exc)
+
+
+def test_floor_failure_writes_report(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "ensure_component_floor", fail)
+    out = tmp_path / "o"
+    assert main(["laplace-verify", "--config", write_config(tmp_path, quad_doc()), "--out", str(out)]) == 1
+    assert json.loads((out / "report.json").read_text())["results"]["error"] == "Singular matrix"
 
 
 class TestLaplaceVerify:

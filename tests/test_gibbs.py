@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hermflow import nc_poly
 from hermflow.gibbs import (
     GibbsEnsemble,
     concentration_stats,
@@ -11,7 +12,7 @@ from hermflow.gibbs import (
     sd_residual,
 )
 from hermflow.matrix_core import HermitianTuple, sample_increment_array, stream
-from hermflow.nc_poly import NCPolynomial
+from hermflow.nc_poly import NCPolynomial, parse_word
 from hermflow.potentials import PotentialComponent, PotentialSpec, quadratic_spec
 
 X = NCPolynomial.x
@@ -71,6 +72,15 @@ class TestScoreField:
 
 
 class TestMALA:
+    def test_one_cayley_solve_per_proposal(self, monkeypatch):
+        solves = []
+        real = nc_poly.cayley
+        monkeypatch.setattr(nc_poly, "cayley", lambda x: solves.append(1) or real(x))
+        comp = PotentialComponent(offset=1.0, quad=0.5, coupling=0.06, word=parse_word("u1 u1 u1 u1"))
+        spec = PotentialSpec(times=(1.0,), components=(comp,), offset=-1.0)
+        mala_sample(GibbsEnsemble(spec, 4, step=0.15), 40, stream(7), burn_in=0, thin=1)
+        assert len(solves) == 41  # the start state, then one per proposal
+
     def test_gaussian_second_moment(self):
         # g = 0: sampled tau(A^2) -> t1 = 1 (GUE)
         spec = quadratic_spec(0.0, floor=1.0)

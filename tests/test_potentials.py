@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from hermflow import nc_poly
 from hermflow.matrix_core import (
     HermitianTuple,
     UnitaryTuple,
     hs_inner,
+    norm2_array,
     sample_increment_array,
     stream,
 )
-from hermflow.nc_poly import parse_word
+from hermflow.nc_poly import NCPolynomial, parse_word
 from hermflow.potentials import (
-    PER_COORDINATE,
-    SCALED,
     PotentialComponent,
     PotentialSpec,
     brownian_slot_sample,
+    component_values_array,
     ensure_component_floor,
     eval_bridge_potential,
     eval_potential,
@@ -24,7 +25,9 @@ from hermflow.potentials import (
     gradient_bridge_potential,
     gradient_potential,
     quadratic_spec,
+    spec_from_dict,
     spec_from_json,
+    spec_to_dict,
     spec_to_json,
 )
 
@@ -83,22 +86,26 @@ class TestEval:
         with pytest.raises(ValueError):
             PotentialComponent(offset=1.0, quad=1.0, coupling=0.1, word=parse_word("X1 X1"))
 
+    def test_word_value_matches_eval_word_array(self):
+        spec = word_spec(lam=0.08 + 0.03j)
+        n = 5
+        slots = brownian_slot_sample(spec.times, n, spec.m, stream(25), batch=(3,))
+        flat = slots.reshape(3, spec.k * spec.m, n, n)
+        comp = spec.components[0]
+        ((word, coeff),) = comp.word.terms.items()
+        tr = np.trace(nc_poly.eval_word_array(word, flat), axis1=-2, axis2=-1) / n
+        acc = np.zeros(3, dtype=complex) + coeff * tr
+        want = comp.offset + comp.quad * norm2_array(flat) + np.real(comp.coupling * acc)
+        assert np.array_equal(component_values_array(spec, slots)[:, 0], want)
+
 
 class TestGradient:
     def test_pure_quadratic_gradient(self):
         rng = stream(20)
         spec = quadratic_spec(1.0)
         x = [rand_tuple(5, 1, rng)]
-        (g,) = gradient_potential(spec, x, scale=SCALED)
+        (g,) = gradient_potential(spec, x)
         assert np.abs(g.data - 2.0 * x[0].data).max() < 1e-12
-
-    def test_per_coordinate_scaling(self):
-        rng = stream(21)
-        spec = quadratic_spec(0.7)
-        x = [rand_tuple(4, 1, rng)]
-        (gs,) = gradient_potential(spec, x, scale=SCALED)
-        (gp,) = gradient_potential(spec, x, scale=PER_COORDINATE)
-        assert np.allclose(gp.data, 2.0 * gs.data)  # sqrt(n) = 2
 
     def test_word_free_independent_of_unitaries(self):
         rng = stream(22)
@@ -276,6 +283,42 @@ class TestFloorAndSerialization:
         assert spec_to_json(spec2) == text
         assert spec2.times == spec.times
         assert spec2.components[0].coupling == spec.components[0].coupling
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            quadratic_spec(0.5),
+            PotentialSpec(
+                times=(1.0,),
+                components=(PotentialComponent(1.0, 0.5, 0.06 - 0.02j, parse_word("u1 u1 u1 u1")),),
+                offset=-1.0,
+            ),
+            PotentialSpec(
+                times=(0.5, 1.0),
+                components=(
+                    PotentialComponent(1.0, 0.5, 0.05, parse_word("u1 u2^-1")),
+                    PotentialComponent(2.0, 0.3),
+                ),
+                p=math.inf,
+                offset=-1.0,
+                m=2,
+            ),
+        ],
+        ids=["quadratic", "u1^4-complex", "two-slot-m2-inf"],
+    )
+    def test_dict_roundtrip(self, spec):
+        assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "word",
+        [parse_word("u1") + parse_word("u1 u1"), 2.0 * parse_word("u1"), NCPolynomial.one()],
+        ids=["two-terms", "coefficient-2", "empty-word"],
+    )
+    def test_to_dict_rejects_what_a_config_cannot_hold(self, word):
+        comps = (PotentialComponent(1.0, 0.5), PotentialComponent(1.0, 0.5, 0.1, word))
+        spec = PotentialSpec(times=(1.0,), components=comps)
+        with pytest.raises(ValueError, match="component 1"):
+            spec_to_dict(spec)
 
     def test_json_p_inf(self):
         spec = word_spec(p=math.inf)

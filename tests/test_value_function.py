@@ -10,6 +10,7 @@ from hermflow.matrix_core import (
     sample_increment_array,
     stream,
 )
+from hermflow import nc_poly
 from hermflow.potentials import PotentialComponent, PotentialSpec, quadratic_spec
 from hermflow.value_function import (
     EstimatorUnderflow,
@@ -18,6 +19,7 @@ from hermflow.value_function import (
     _build_chain,
     _sample_future,
     _split_times,
+    drift_core_array,
     drift_gradexp,
     drift_logratio,
     resolve_tilt,
@@ -346,3 +348,15 @@ class TestCopyFreeFutures:
             tracemalloc.stop()
         assert peak <= 2 * slot_bytes
         assert est.value == pytest.approx(0.5 * np.log(2.0), abs=1e-9)
+
+
+def test_one_cayley_solve_per_letter_per_drift_call(monkeypatch):
+    solves = []
+    real = nc_poly.cayley
+    monkeypatch.setattr(nc_poly, "cayley", lambda x: solves.append(x.shape) or real(x))
+    word = nc_poly.parse_word("u1 u2^-1 u1 u2")
+    spec = PotentialSpec(times=(0.5, 1.0), components=(PotentialComponent(1.0, 0.5, 0.05, word),))
+    x = rand_tuple(4, 1, stream(90)).data[None]  # a leading state axis of length 1
+    res = drift_core_array(spec, 0.25, np.zeros((0,)), x, 64, stream(91), 0.5)
+    assert res["b"].shape == x.shape
+    assert solves == [(1, 64, 4, 4), (1, 64, 4, 4)]  # letters u1 and u2, once each

@@ -26,9 +26,9 @@ from .matrix_core import HermitianTuple, _embed_array, _unembed_array
 from .nc_poly import NCPolynomial, bitrace_array, eval_poly_array, free_difference_quotient
 from .potentials import (
     PotentialSpec,
+    _bridge,
     _evaluate,
     brownian_slot_sample,
-    eval_bridge_potential_array,
     gradient_bridge_potential_array,
     gradient_potential_array,
 )
@@ -81,11 +81,13 @@ class GibbsEnsemble:
 
 
 def _log_density_and_score(ens: GibbsEnsemble, slots: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log density at one state and its score in embedded coordinates, from one potential pass."""
+    """Log density at one state and its score in embedded coordinates, from one pass each
+    of the potential and the bridge form."""
     n, times = ens.n, ens.spec.times
     _, val, g = _evaluate(ens.spec, slots[None], ens.u_ext, grad=True)
-    logp = -float(n * n * (val[0] + eval_bridge_potential_array(times, slots[None])[0]))
-    xi = -n * (g + gradient_bridge_potential_array(times, slots[None]))  # score_array's formula
+    bridge_val, bridge_grad = _bridge(times, slots[None])  # the spec's times are validated
+    logp = -float(n * n * (val[0] + bridge_val[0]))
+    xi = -n * (g + bridge_grad)  # score_array's formula
     return logp, _embed_array(xi[0]).ravel()
 
 

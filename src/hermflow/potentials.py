@@ -16,6 +16,12 @@ Gradients are exact matrix calculus.  Differentiating a Cayley letter uses
     d u(X)^eps [K] = -(eps / 8i) (u^eps - 1) K (u^eps - 1),
 
 so each occurrence of a Cayley letter contributes a resolvent-product term.
+A word term u_j^{eps k} (one Cayley letter, one sign, k >= 1) has commuting
+letters, so its k terms are one:
+
+    grad tau(u^{eps k}) = k * -(eps / 8i) (u^eps - 1) u^{eps(k-1)} (u^eps - 1),
+
+with u^{eps(k-1)} the prefix product the value already builds.
 Gradients pair with the normalized inner product <A, B> = sum_l (1/n) Tr(A_l B_l).
 """
 
@@ -159,7 +165,14 @@ def _evaluate(spec: PotentialSpec, slots: np.ndarray, u_ext=None, grad: bool = F
                 products = accumulate(mats, np.matmul)  # prefix products, from the first letter on
                 prefix = list(products) if grad else deque(products, maxlen=1)
                 acc = acc + c * (np.trace(prefix[-1] if mats else eye, axis1=-2, axis2=-1) / n)
-                if grad:
+                if not grad:
+                    continue
+                if w and w[0][0] == "u" and w.count(w[0]) == len(w):
+                    # u^{eps k}: the k letters commute, so the k rings are one, u^{eps(k-1)}
+                    (_, idx, exp), a = w[0], mats[0] - eye
+                    core = a @ prefix[-2] @ a if len(w) > 1 else a @ a
+                    raw = {idx: (-len(w) * exp / (8j)) * core}
+                else:
                     suffix = list(accumulate(reversed(mats), lambda s, mat: mat @ s))[::-1]
                     before, after = [eye] + prefix[:-1], suffix[1:] + [eye]  # letters < / > pos
                     raw: dict[int, np.ndarray] = {}
@@ -173,7 +186,7 @@ def _evaluate(spec: PotentialSpec, slots: np.ndarray, u_ext=None, grad: bool = F
                             ring = after[pos] if pos == 0 else before[pos]
                         a = mats[pos] - eye
                         raw[idx] = raw.get(idx, 0) + (-(exp) / (8j)) * (a @ ring @ a)
-                    terms.append((comp.coupling * c, raw))
+                terms.append((comp.coupling * c, raw))
             v = v + np.real(comp.coupling * acc)
         vals.append(v)
         word_grads.append(terms)
@@ -245,6 +258,26 @@ def gradient_potential(spec: PotentialSpec, xs, u: UnitaryTuple | None = None):
 # -- Gaussian bridge potential ----------------------------------------------
 
 
+def _bridge(times, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and tridiagonal gradient of the bridge form, from one loop over the slots.
+
+    Takes validated float ``times``; the gradient pairs by the scaled/HS-n pairing.
+    """
+    n = slots.shape[-1]
+    prev_t, prev = 0.0, 0.0
+    total = 0.0
+    grad = np.zeros_like(slots)
+    for j, t in enumerate(times):
+        diff = slots[..., j, :, :, :] - prev
+        total = total + np.sum(np.abs(diff) ** 2, axis=(-1, -2, -3)) / (n * (t - prev_t))
+        step = diff / (t - prev_t)
+        grad[..., j, :, :, :] += step
+        if j > 0:
+            grad[..., j - 1, :, :, :] -= step
+        prev, prev_t = slots[..., j, :, :, :], t
+    return 0.5 * total, grad
+
+
 def eval_bridge_potential_array(times, slots: np.ndarray) -> np.ndarray:
     """Gaussian increment quadratic form (1/2) sum_l [tau(x_1^2)/t_1 + ...]."""
     ts = tuple(float(t) for t in times)
@@ -252,15 +285,7 @@ def eval_bridge_potential_array(times, slots: np.ndarray) -> np.ndarray:
         raise ValueError(f"times must be strictly increasing and positive, got {ts}")
     if slots.shape[-4] != len(ts):
         raise ValueError("slot count does not match times")
-    n = slots.shape[-1]
-    prev_t = 0.0
-    prev = np.zeros_like(slots[..., 0, :, :, :])
-    total = 0.0
-    for j, t in enumerate(ts):
-        diff = slots[..., j, :, :, :] - prev
-        total = total + np.sum(np.abs(diff) ** 2, axis=(-1, -2, -3)) / (n * (t - prev_t))
-        prev, prev_t = slots[..., j, :, :, :], t
-    return 0.5 * total
+    return _bridge(ts, slots)[0]
 
 
 def eval_bridge_potential(times, xs) -> float:
@@ -269,18 +294,7 @@ def eval_bridge_potential(times, xs) -> float:
 
 def gradient_bridge_potential_array(times, slots: np.ndarray) -> np.ndarray:
     """Tridiagonal gradient of the bridge form (scaled/HS-n pairing)."""
-    ts = tuple(float(t) for t in times)
-    k = len(ts)
-    out = np.zeros_like(slots)
-    for j in range(k):
-        t_lo = ts[j - 1] if j > 0 else 0.0
-        x_lo = slots[..., j - 1, :, :, :] if j > 0 else 0.0
-        out[..., j, :, :, :] += (slots[..., j, :, :, :] - x_lo) / (ts[j] - t_lo)
-        if j + 1 < k:
-            out[..., j, :, :, :] -= (slots[..., j + 1, :, :, :] - slots[..., j, :, :, :]) / (
-                ts[j + 1] - ts[j]
-            )
-    return out
+    return _bridge(tuple(float(t) for t in times), slots)[1]
 
 
 def gradient_bridge_potential(times, xs):

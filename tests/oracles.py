@@ -106,3 +106,19 @@ def semicircle_log_energy_entropy(var: float) -> float:
     chi(X) + log a.
     """
     return 0.5 * np.log(2 * np.pi * np.e) + 0.5 * np.log(var)
+
+
+def power_word_gradient(x: np.ndarray, k: int, eps: int, lam: complex) -> np.ndarray:
+    """Gradient of Re(lam * tau(u(x)^(eps k))) by spectral calculus on eigh(x).
+
+    With phi(l) = (l + 4i)/(l - 4i) the Cayley map on an eigenvalue, the word
+    is f(x) for f = phi^(eps k), whose derivative is
+    eps k phi^(eps k - 1) (-8i)/(l - 4i)^2; the gradient under the pairing
+    (1/n)Tr is the Hermitian part of lam * V diag(f') V*.  Batched over
+    leading axes.
+    """
+    lams, vecs = np.linalg.eigh(x)
+    phi = (lams + 4j) / (lams - 4j)
+    fprime = eps * k * phi ** (eps * k - 1) * (-8j) / (lams - 4j) ** 2
+    g = lam * (vecs * fprime[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    return 0.5 * (g + np.conj(np.swapaxes(g, -1, -2)))

@@ -231,7 +231,12 @@ class TestCriterion6Yosida:
 
 
 class TestCriterion7EntropyEquality:
-    def test_chi_equals_chi_star(self, criterion):
+    @pytest.fixture(scope="class")
+    def const(self):
+        # shared by both tests: the same calibration from the same fresh stream
+        return calibrate_universal_constant(n=16, paths=64, grid_steps=32, inner=96, rng=stream(211))
+
+    def test_chi_equals_chi_star(self, criterion, const):
         c, n = 0.5, 32
         target_chi_g = 0.25 - 0.5 * np.log(2.0)
         # spectral-oracle calibration: standard semicircular to 1e-4
@@ -240,7 +245,6 @@ class TestCriterion7EntropyEquality:
         star_std = chi_star(flow_std)
         cal_ok = abs(star_std - 0.5 * np.log(2 * np.pi * np.e)) < 1e-4
 
-        const = calibrate_universal_constant(n=16, paths=64, grid_steps=32, inner=96, rng=stream(211))
         est = chi_microstates_control(
             quadratic_spec(c), n=n, paths=48, grid_steps=32, inner=80, rng=stream(212),
             constant=const,
@@ -260,11 +264,8 @@ class TestCriterion7EntropyEquality:
         )
         assert ok
 
-    def test_quadratic_family_consistency(self, criterion):
+    def test_quadratic_family_consistency(self, criterion, const):
         # the rest of the c family at n=32: converted chi vs spectral chi*
-        const = calibrate_universal_constant(
-            n=16, paths=64, grid_steps=32, inner=96, rng=stream(211)
-        )
         t_grid = np.concatenate([np.linspace(0, 4, 41), np.linspace(4.5, 40, 72)])
         ok = True
         details = []

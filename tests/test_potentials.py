@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermflow import nc_poly
 from hermflow.matrix_core import (
@@ -16,20 +18,26 @@ from hermflow.nc_poly import NCPolynomial, parse_word
 from hermflow.potentials import (
     PotentialComponent,
     PotentialSpec,
+    _bridge,
     brownian_slot_sample,
     component_values_array,
     ensure_component_floor,
     eval_bridge_potential,
+    eval_bridge_potential_array,
     eval_potential,
     eval_potential_array,
     gradient_bridge_potential,
+    gradient_bridge_potential_array,
     gradient_potential,
+    gradient_potential_array,
     quadratic_spec,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
     spec_to_json,
 )
+
+from oracles import power_word_gradient
 
 
 def rand_tuple(n, m, rng, scale=1.0):
@@ -42,6 +50,45 @@ def word_spec(lam=0.05, c=1.0, times=(0.5, 1.0), m=1, p=2.0):
     comp1 = PotentialComponent(offset=1.0, quad=c, coupling=lam, word=word)
     comp2 = PotentialComponent(offset=2.0, quad=0.5 * c)
     return PotentialSpec(times=times, components=(comp1, comp2), p=p, offset=0.3, m=m)
+
+
+def first_word_component(spec, slots):
+    """g_1 at a batch of slots, its word's trace built by nc_poly.eval_word_array."""
+    n, batch = slots.shape[-1], slots.shape[:-4]
+    flat = slots.reshape(batch + (spec.k * spec.m, n, n))
+    comp = spec.components[0]
+    ((word, coeff),) = comp.word.terms.items()
+    tr = np.trace(nc_poly.eval_word_array(word, flat), axis1=-2, axis2=-1) / n
+    acc = np.zeros(batch, dtype=complex) + coeff * tr
+    return comp.offset + comp.quad * norm2_array(flat) + np.real(comp.coupling * acc)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def config_specs(draw):
+    """Every spec a config can hold: 1-3 slots, m in {1, 2}, single-monomial u words."""
+    times = draw(
+        st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=3, unique=True)
+    )
+    m = draw(st.sampled_from([1, 2]))
+    letter = st.tuples(st.just("u"), st.integers(1, len(times) * m), st.sampled_from([1, -1]))
+    word = st.none() | st.lists(letter, min_size=1, max_size=6).map(NCPolynomial.monomial)
+    comps = draw(
+        st.lists(
+            st.builds(
+                PotentialComponent,
+                offset=finite,
+                quad=st.floats(0.0, allow_infinity=False),
+                coupling=st.complex_numbers(allow_nan=False, allow_infinity=False),
+                word=word,
+            ),
+            max_size=3,
+        )
+    )
+    p = draw(st.sampled_from([2.0, 2.5, math.inf]))
+    return PotentialSpec(sorted(times), comps, p=p, offset=draw(finite), m=m)
 
 
 class TestEval:
@@ -88,14 +135,8 @@ class TestEval:
 
     def test_word_value_matches_eval_word_array(self):
         spec = word_spec(lam=0.08 + 0.03j)
-        n = 5
-        slots = brownian_slot_sample(spec.times, n, spec.m, stream(25), batch=(3,))
-        flat = slots.reshape(3, spec.k * spec.m, n, n)
-        comp = spec.components[0]
-        ((word, coeff),) = comp.word.terms.items()
-        tr = np.trace(nc_poly.eval_word_array(word, flat), axis1=-2, axis2=-1) / n
-        acc = np.zeros(3, dtype=complex) + coeff * tr
-        want = comp.offset + comp.quad * norm2_array(flat) + np.real(comp.coupling * acc)
+        slots = brownian_slot_sample(spec.times, 5, spec.m, stream(25), batch=(3,))
+        want = first_word_component(spec, slots)
         assert np.array_equal(component_values_array(spec, slots)[:, 0], want)
 
 
@@ -155,6 +196,36 @@ class TestGradient:
         assert abs(pair - fd) <= 1e-6 * max(1.0, abs(fd))
 
 
+class TestPowerWord:
+    """u1^(eps k) words, whose gradient takes the closed form in the kernel."""
+
+    @staticmethod
+    def spec_and_slots(k, eps, n):
+        word = parse_word(" ".join(["u1" if eps == 1 else "u1^-1"] * k))
+        comp = PotentialComponent(offset=1.0, quad=0.5, coupling=0.3 - 0.2j, word=word)
+        spec = PotentialSpec(times=(1.0,), components=(comp,))
+        slots = brownian_slot_sample(spec.times, n, 1, stream(40, worker=n * 10 + k), batch=(3,))
+        return spec, slots
+
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_gradient_matches_spectral_oracle(self, k, eps, n):
+        spec, slots = self.spec_and_slots(k, eps, n)
+        comp, x = spec.components[0], slots[:, 0, 0]
+        want = power_word_gradient(x, k, eps, comp.coupling) + 2.0 * comp.quad * x
+        got = gradient_potential_array(spec, slots)[:, 0, 0]
+        assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("k", [1, 2, 4, 7])
+    def test_value_matches_eval_word_array(self, k, eps, n):
+        spec, slots = self.spec_and_slots(k, eps, n)
+        want = first_word_component(spec, slots)
+        assert np.array_equal(component_values_array(spec, slots)[:, 0], want)
+
+
 class TestBridgePotential:
     def test_zero_slots(self):
         xs = [HermitianTuple.zeros(4, 1), HermitianTuple.zeros(4, 1)]
@@ -192,6 +263,14 @@ class TestBridgePotential:
             )
         fd = (f(eps) - f(-eps)) / (2 * eps)
         assert abs(pair - fd) <= 1e-6 * max(1.0, abs(fd))
+
+    def test_one_pass_matches_public_functions(self):
+        times = (0.4, 1.0)
+        for m, n in ((1, 5), (2, 4)):
+            slots = brownian_slot_sample(times, n, m, stream(26, worker=m), batch=(3,))
+            value, grad = _bridge(times, slots)
+            assert np.array_equal(value, eval_bridge_potential_array(times, slots))
+            assert np.array_equal(grad, gradient_bridge_potential_array(times, slots))
 
 
 class TestRegularityProbes:
@@ -319,6 +398,12 @@ class TestFloorAndSerialization:
         spec = PotentialSpec(times=(1.0,), components=comps)
         with pytest.raises(ValueError, match="component 1"):
             spec_to_dict(spec)
+
+    @given(config_specs())
+    @settings(max_examples=200, deadline=None)
+    def test_dict_roundtrip_property(self, spec):
+        assert spec_from_dict(spec_to_dict(spec)) == spec
+        assert spec_from_json(spec_to_json(spec)) == spec
 
     def test_json_p_inf(self):
         spec = word_spec(p=math.inf)

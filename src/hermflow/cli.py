@@ -27,9 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from . import free_entropy, gibbs, laplace, sde, yosida
-from .matrix_core import HermitianTuple, stream
+from .matrix_core import norm2_array, stream
 from .nc_poly import NCPolynomial
-from .potentials import PotentialSpec, ensure_component_floor, spec_from_dict, spec_to_dict
+from .potentials import (
+    PotentialSpec,
+    SpecFieldError,
+    ensure_component_floor,
+    spec_from_dict,
+    spec_to_dict,
+)
 from .value_function import EstimatorUnderflow, resolve_tilt
 
 log = logging.getLogger("hermflow")
@@ -89,12 +95,8 @@ def load_config(command: str, doc: dict, seed_override=None, out_override=None) 
     if "spec" in doc:
         try:
             spec = spec_from_dict(doc["spec"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(f"spec.{exc}", "missing or malformed field") from exc
-        except ValueError as exc:
-            msg = str(exc)
-            fld = "spec.p" if " p " in f" {msg} " or msg.startswith("p ") else "spec"
-            raise ConfigError(fld, msg) from exc
+        except SpecFieldError as exc:
+            raise ConfigError(f"spec.{exc.field}" if exc.field else "spec", str(exc)) from exc
         for i, comp in enumerate(spec.components):
             if comp.word is not None and comp.word.letter_indices("v"):
                 raise ConfigError(
@@ -122,21 +124,23 @@ def load_config(command: str, doc: dict, seed_override=None, out_override=None) 
     if spec is not None or tilt != "auto":  # without a spec only the form is checked
         try:
             resolve_tilt(spec, tilt)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError("tilt", str(exc)) from exc
     seed = seed_override if seed_override is not None else doc.get("seed")
     if seed is None:
         raise ConfigError("seed", "seed is mandatory (reproducibility)")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError("seed", "must be a nonnegative integer")
-    out_dir = Path(out_override or doc.get("output", "out"))
+    output = out_override or doc.get("output", "out")
+    if not isinstance(output, str):
+        raise ConfigError("output", f"must be a path string, got {output!r}")
     return ExperimentConfig(
         command=command,
         spec=spec,
         n_list=n_list,
         budgets=budgets,
         seed=int(seed),
-        out_dir=out_dir,
+        out_dir=Path(output),
         tilt=tilt,
         raw=doc,
     )
@@ -261,30 +265,25 @@ def run_sd_check(cfg: ExperimentConfig) -> tuple[dict, list]:
 
 def run_sde_run(cfg: ExperimentConfig) -> tuple[dict, list]:
     nv = cfg.n_list[0]
-    field_obj = sde.value_drift_field(
-        cfg.spec, inner=cfg.budgets["inner"], rng=stream(cfg.seed, worker=1), tilt=cfg.tilt
+    sim = laplace.simulate_controlled_paths(
+        cfg.spec, nv, 1, cfg.budgets["grid_steps"], cfg.budgets["inner"],
+        stream(cfg.seed, worker=1), tilt=cfg.tilt, heun=False,
     )
-    t_end = cfg.spec.times[-1]
-    grid = np.linspace(0.0, t_end, cfg.budgets["grid_steps"] + 1)
-    path = sde.euler_maruyama(
-        field_obj, HermitianTuple.zeros(nv, cfg.spec.m), grid, stream(cfg.seed, worker=2)
-    )
+    grid, states = sim["grid"], sim["states"][0]
     stride = max(1, len(grid) // 32)
     rows = [("time", "matrix", "row", "col", "re", "im")]
     for i in range(0, len(grid), stride):
         for l in range(cfg.spec.m):
             for r in range(nv):
                 for c in range(nv):
-                    z = path.states[i, l, r, c]
+                    z = states[i, l, r, c]
                     rows.append((float(grid[i]), l, r, c, float(z.real), float(z.imag)))
-    moments = []
-    for i, t in enumerate(grid):
-        x = path.states[i]
-        moments.append({"time": float(t), "tau2": float(np.einsum("mij,mji->", x, x).real / nv)})
+    tau2 = norm2_array(states)
+    moments = [{"time": float(t), "tau2": float(v)} for t, v in zip(grid, tau2)]
     results = {"n": nv, "moments": moments}
     checks = [
         _check(
-            "path-finite", bool(np.isfinite(path.states).all()), "controlled-dynamics",
+            "path-finite", bool(np.isfinite(states).all()), "controlled-dynamics",
             final_tau2=moments[-1]["tau2"],
         )
     ]
@@ -479,7 +478,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("APP_LOG", "INFO").upper())
     try:
         doc = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         print(f"config error: {args.config}: {exc}", file=sys.stderr)
         return 2
     try:

@@ -25,6 +25,7 @@ from .potentials import (
     brownian_slot_sample,
     eval_potential_array,
 )
+from .sde import _check_explosion
 from .value_function import (
     EstimatorUnderflow,
     ValueEstimate,
@@ -92,11 +93,14 @@ def simulate_controlled_paths(
 ) -> dict:
     """Batched controlled dynamics driven by the per-step drift estimator.
 
-    Returns grid, slot states (paths, k, m, n, n), per-path terminal values
-    of G, per-path control costs (1/2) int ||b||_2^2 dt (trapezoid, with the
-    split-batch product making each node unbiased), and drift diagnostics.
-    A nonzero ``perturb`` adds that multiple of a fresh random Hermitian
-    field to the drift at every step (sub-optimality probes).
+    Returns the grid (slot times included), the per-node states and drifts
+    (paths, M+1, m, n, n), slot states (paths, k, m, n, n), per-path
+    terminal values of G, per-path control costs (1/2) int ||b||_2^2 dt
+    (trapezoid, with the split-batch product making each node unbiased),
+    and drift diagnostics.  The drift at node i is the estimate used for
+    the step from node i (before any Heun correction).  A nonzero
+    ``perturb`` adds that multiple of a fresh random Hermitian field to the
+    drift at every step (sub-optimality probes).
 
     ``heun``: predictor-corrector drift step (weak order 2); the O(dt) bias
     of the plain Euler step is visible against 3-sigma tolerances at the
@@ -106,20 +110,14 @@ def simulate_controlled_paths(
     c_tilt = resolve_tilt(spec, tilt)
     grid = _controlled_grid(spec, grid_steps)
     M = grid.size - 1
-    states = np.zeros((paths, m, n, n), dtype=complex)
-    history = np.zeros((paths, 0, m, n, n), dtype=complex)
-    slot_states = np.zeros((paths, spec.k, m, n, n), dtype=complex)
+    # slot j is the state at its first node at or after its time; the drift
+    # at that node still sees it as the current state, later nodes as history
+    slot_nodes = np.searchsorted(grid, np.asarray(spec.times) - _TIME_TOL)
+    states = np.zeros((paths, M + 1, m, n, n), dtype=complex)
+    drifts = np.empty_like(states)
     bsq_nodes = np.zeros((paths, M + 1))
     ess_min = np.inf
-    slot_cursor = 0
-    times = np.asarray(spec.times)
-
-    def record_slots(t, x):
-        nonlocal slot_cursor, history
-        while slot_cursor < times.size and times[slot_cursor] <= t + _TIME_TOL:
-            slot_states[:, slot_cursor] = x
-            history = np.concatenate([history, x[:, None]], axis=1)
-            slot_cursor += 1
+    x = states[:, 0].copy()
 
     def node_bsq(b1, b2):
         return np.real(np.einsum("pmij,pmji->p", b1, b2)) / n
@@ -127,7 +125,8 @@ def simulate_controlled_paths(
     for i in range(M + 1):
         t = grid[i]
         res = drift_core_array(
-            spec, t, history, states, inner, rng, c_tilt, u_ext, split=True
+            spec, t, states[:, slot_nodes[slot_nodes < i]], x, inner, rng, c_tilt, u_ext,
+            split=True,
         )
         b, b1, b2 = res["b"], res["b1"], res["b2"]
         if not res.get("deterministic", False):
@@ -137,28 +136,33 @@ def simulate_controlled_paths(
             b = b + perturb * z
             b1 = b1 + perturb * z
             b2 = b2 + perturb * z
+        drifts[:, i] = b
         bsq_nodes[:, i] = node_bsq(b1, b2)
-        record_slots(t, states)
         if i < M:
             dt = grid[i + 1] - grid[i]
             dh = sample_increment_array(n, m, dt, rng, batch=(paths,)) / np.sqrt(n)
-            pred = states + dt * b + dh
+            pred = x + dt * b + dh
             if heun:
                 res2 = drift_core_array(
-                    spec, grid[i + 1], history, pred, inner, rng, c_tilt, u_ext
+                    spec, grid[i + 1], states[:, slot_nodes[slot_nodes <= i]], pred,
+                    inner, rng, c_tilt, u_ext,
                 )
                 b_corr = res2["b"]
                 if perturb != 0.0:
                     b_corr = b_corr + perturb * z
-                states = states + 0.5 * dt * (b + b_corr) + dh
+                x = x + 0.5 * dt * (b + b_corr) + dh
             else:
-                states = pred
-    record_slots(grid[-1] + 1.0, states)  # flush any boundary slot
+                x = pred
+            states[:, i + 1] = x
+            _check_explosion(x, grid[i + 1])
 
+    slot_states = states[:, slot_nodes]
     g_vals = np.real(eval_potential_array(spec, slot_states, u_ext))
     cost_vals = 0.5 * np.trapezoid(bsq_nodes, grid, axis=1)
     return {
         "grid": grid,
+        "states": states,
+        "drifts": drifts,
         "slot_states": slot_states,
         "terminal_values": g_vals,
         "control_costs": cost_vals,

@@ -46,6 +46,15 @@ from .matrix_core import (
 from .nc_poly import NCPolynomial, _letter_matrices, parse_word, word_to_text
 
 
+class SpecFieldError(ValueError):
+    """A spec field that is malformed or out of range; ``field`` names it as
+    a config writes it, e.g. ``components[0].C`` ("" for the whole spec)."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class PotentialComponent:
     offset: float  # D_i
@@ -54,11 +63,13 @@ class PotentialComponent:
     word: NCPolynomial | None = None
 
     def __post_init__(self):
-        if self.quad < 0:
-            raise ValueError("quadratic coefficients must be nonnegative")
+        if not self.quad >= 0:
+            raise SpecFieldError("C", "quadratic coefficients must be nonnegative")
         if self.word is not None:
             if self.word.letter_indices("x"):
-                raise ValueError("component words may only use Cayley (u) and external (v) letters")
+                raise SpecFieldError(
+                    "word", "component words may only use Cayley (u) and external (v) letters"
+                )
 
 
 @dataclass(frozen=True)
@@ -76,20 +87,21 @@ class PotentialSpec:
         object.__setattr__(self, "components", tuple(self.components))
         ts = self.times
         if not ts:
-            raise ValueError("need at least one time slot")
+            raise SpecFieldError("times", "need at least one time slot")
         if ts[0] <= 0 or ts[-1] > 1 or any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError(f"times must be strictly increasing in (0, 1], got {ts}")
+            raise SpecFieldError("times", f"times must be strictly increasing in (0, 1], got {ts}")
         if not (self.p >= 2):
-            raise ValueError(f"p must lie in [2, inf], got {self.p}")
+            raise SpecFieldError("p", f"p must lie in [2, inf], got {self.p}")
         if self.m < 1:
-            raise ValueError("m must be >= 1")
+            raise SpecFieldError("m", "m must be >= 1")
         km = self.k * self.m
-        for comp in self.components:
+        for i, comp in enumerate(self.components):
             if comp.word is not None:
                 idx = comp.word.letter_indices("u")
                 if idx and max(idx) > km:
-                    raise ValueError(
-                        f"word letter u{max(idx)} exceeds k*m = {km} slots*matrices"
+                    raise SpecFieldError(
+                        f"components[{i}].word",
+                        f"word letter u{max(idx)} exceeds k*m = {km} slots*matrices",
                     )
 
     @property
@@ -356,7 +368,9 @@ def spec_to_dict(spec: PotentialSpec) -> dict:
     comps = []
     for i, c in enumerate(spec.components):
         terms = {} if c.word is None else c.word.terms
-        if len(terms) > 1 or any(not w or coeff != 1 for w, coeff in terms.items()):
+        if c.word is not None and (
+            len(terms) != 1 or any(not w or coeff != 1 for w, coeff in terms.items())
+        ):
             raise ValueError(
                 f"component {i}: word {c.word!r} is not a single nonempty monomial with "
                 "coefficient 1, which is all a config can express"
@@ -378,30 +392,74 @@ def spec_to_dict(spec: PotentialSpec) -> dict:
     }
 
 
-def spec_from_dict(doc: dict) -> PotentialSpec:
-    p = doc.get("p", 2.0)
-    if isinstance(p, str):
-        if p.lower() not in ("inf", "infinity"):
-            raise ValueError(f"unrecognized p value {p!r}")
-        p = math.inf
-    comps = []
-    for entry in doc.get("components", []):
-        word_text = entry.get("word", "")
+def _finite(val, field: str) -> float:
+    """``val`` as a float when it is a finite JSON number."""
+    try:
+        if isinstance(val, (int, float)) and not isinstance(val, bool) and math.isfinite(val):
+            return float(val)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise SpecFieldError(field, f"must be a finite number, got {val!r}")
+
+
+def _required(doc: dict, key: str):
+    if key not in doc:
+        raise SpecFieldError(key, "missing field")
+    return doc[key]
+
+
+def _component_from_dict(entry) -> PotentialComponent:
+    if not isinstance(entry, dict):
+        raise SpecFieldError("", "must be an object")
+    word_text = entry.get("word", "")
+    if not isinstance(word_text, str):
+        raise SpecFieldError("word", f"must be a string, got {word_text!r}")
+    try:
         word = parse_word(word_text) if word_text.strip() else None
-        comps.append(
-            PotentialComponent(
-                offset=float(entry["D"]),
-                quad=float(entry["C"]),
-                coupling=complex(float(entry.get("lambda_re", 0.0)), float(entry.get("lambda_im", 0.0))),
-                word=word,
-            )
-        )
+    except ValueError as exc:
+        raise SpecFieldError("word", str(exc)) from exc
+    return PotentialComponent(
+        offset=_finite(_required(entry, "D"), "D"),
+        quad=_finite(_required(entry, "C"), "C"),
+        coupling=complex(
+            _finite(entry.get("lambda_re", 0.0), "lambda_re"),
+            _finite(entry.get("lambda_im", 0.0), "lambda_im"),
+        ),
+        word=word,
+    )
+
+
+def spec_from_dict(doc: dict) -> PotentialSpec:
+    """The spec of a config document; a bad field raises :class:`SpecFieldError`."""
+    if not isinstance(doc, dict):
+        raise SpecFieldError("", "must be an object")
+    times = _required(doc, "times")
+    if not isinstance(times, list):
+        raise SpecFieldError("times", f"must be a list of numbers, got {times!r}")
+    p = doc.get("p", 2.0)
+    if isinstance(p, str) and p.lower() in ("inf", "infinity"):
+        p = math.inf
+    elif p != math.inf:  # a JSON Infinity loads as a float inf
+        p = _finite(p, "p")
+    m = doc.get("m", 1)
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise SpecFieldError("m", f"must be a positive integer, got {m!r}")
+    entries = doc.get("components", [])
+    if not isinstance(entries, list):
+        raise SpecFieldError("components", f"must be a list of objects, got {entries!r}")
+    comps = []
+    for i, entry in enumerate(entries):
+        try:
+            comps.append(_component_from_dict(entry))
+        except SpecFieldError as exc:
+            at = f"components[{i}]" + (f".{exc.field}" if exc.field else "")
+            raise SpecFieldError(at, str(exc)) from exc
     return PotentialSpec(
-        times=tuple(doc["times"]),
+        times=tuple(_finite(t, f"times[{i}]") for i, t in enumerate(times)),
         components=tuple(comps),
-        p=float(p),
-        offset=float(doc.get("D", 0.0)),
-        m=int(doc.get("m", 1)),
+        p=p,
+        offset=_finite(doc.get("D", 0.0), "D"),
+        m=m,
     )
 
 

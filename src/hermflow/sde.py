@@ -1,4 +1,8 @@
-"""Path integrators for the controlled and stationary matrix dynamics.
+"""Path integrators for Markov drift fields and the stationary matrix dynamics.
+
+The optimally controlled path, whose drift the value-function estimator
+gives from the slot history, is integrated by
+:func:`hermflow.laplace.simulate_controlled_paths`.
 
 All integrators run at the normalized scale: the driving noise over a step
 of length dt is an unscaled Hermitian increment divided by sqrt(n), so that
@@ -22,7 +26,6 @@ from .matrix_core import (
     stream,
 )
 from .potentials import PotentialSpec, gradient_potential_array
-from .value_function import _stack_history, drift_core_array, resolve_tilt
 from .yosida import ConvexFn, prox
 
 EXPLOSION_THRESHOLD = 1e6
@@ -52,19 +55,13 @@ class ControlledPath:
 
 @dataclass
 class DriftField:
-    """Callable drift b(t, history, x) with regularity metadata.
-
-    ``slot_times`` are the times at which the integrator snapshots the state
-    into the history passed back to the field.
-    """
+    """Markov drift b(t, x), with an optional Lipschitz constant that bounds the step."""
 
     fn: Callable
     lipschitz: Optional[float] = None
-    monotone: bool = False
-    slot_times: tuple = ()
 
-    def __call__(self, t: float, history: list, x: HermitianTuple) -> HermitianTuple:
-        return self.fn(t, history, x)
+    def __call__(self, t: float, x: HermitianTuple) -> HermitianTuple:
+        return self.fn(t, x)
 
 
 def _check_explosion(x: np.ndarray, t: float):
@@ -101,18 +98,11 @@ def euler_maruyama(
     states = np.empty((M + 1, m, n, n), dtype=complex)
     drifts = np.empty((M + 1, m, n, n), dtype=complex)
     states[0] = x0.data
-    history: list = []
-    slot_iter = list(field.slot_times)
     x = x0
     for i in range(M):
         t, dt = grid[i], grid[i + 1] - grid[i]
-        b = field(t, history, x)
+        b = field(t, x)
         drifts[i] = b.data
-        # snapshot slot states after the drift call: at a slot node the
-        # current state is the "here" argument, not yet history
-        while slot_iter and slot_iter[0] <= t + 1e-12:
-            history.append(x.copy())
-            slot_iter.pop(0)
         if increments is not None:
             dh = increments[i] / np.sqrt(n)
         else:
@@ -120,7 +110,7 @@ def euler_maruyama(
         x = HermitianTuple(x.data + dt * b.data + dh)
         states[i + 1] = x.data
         _check_explosion(x.data, grid[i + 1])
-    drifts[M] = field(grid[-1], history, x).data
+    drifts[M] = field(grid[-1], x).data
     return ControlledPath(grid=grid, states=states, drifts=drifts)
 
 
@@ -347,30 +337,10 @@ def picard_fbsde(
     # integrate one path under the final drift field
     grid = np.linspace(0.0, horizon, substeps + 1)
 
-    def field_fn(t, history, x):
+    def field_fn(t, x):
         b = _picard_drift(spec, final_level, t, x.data, horizon, substeps, budgets, seed, u_ext=u_ext)
         return HermitianTuple(b)
 
     path = euler_maruyama(DriftField(fn=field_fn), HermitianTuple.zeros(n, m), grid, rng)
     path.meta["picard"] = report
     return path, report
-
-
-# -- drift fields backed by the value-function estimators ---------------------
-
-
-def value_drift_field(
-    spec: PotentialSpec,
-    inner: int,
-    rng: np.random.Generator,
-    tilt="auto",
-    u_ext=None,
-) -> DriftField:
-    """DriftField whose drift is the Monte Carlo optimal-drift estimate."""
-    c_tilt = resolve_tilt(spec, tilt)
-
-    def fn(t, history, x):
-        res = drift_core_array(spec, t, _stack_history(history), x.data, inner, rng, c_tilt, u_ext)
-        return HermitianTuple(res["b"])
-
-    return DriftField(fn=fn, slot_times=spec.times, monotone=spec.convex_mode)

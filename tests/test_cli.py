@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermflow import cli, gibbs, sde, yosida
-from hermflow.cli import load_config, main
+from hermflow.cli import ConfigError, load_config, main
 from hermflow.potentials import quadratic_spec, spec_to_dict
 from hermflow.value_function import EstimatorUnderflow
 
@@ -22,6 +24,55 @@ def quad_doc(c=0.5, seed=1, n_list=(4, 6), budgets=None):
         "seed": seed,
         "budgets": budgets or {"samples": 2000, "paths": 24, "inner": 48, "grid_steps": 16},
     }
+
+
+def _full_doc():
+    """A valid config that sets every field a config can hold."""
+    spec = {
+        "times": [0.5, 1.0],
+        "p": 2.5,
+        "D": -1.0,
+        "m": 1,
+        "components": [
+            {"D": 1.0, "C": 0.5, "lambda_re": 0.05, "lambda_im": 0.01, "word": "u1 u2^-1"},
+            {"D": 2.0, "C": 0.3},
+        ],
+    }
+    return {
+        "command": "laplace-verify",
+        "spec": spec,
+        "n_list": [4, 6],
+        "budgets": {"samples": 200, "paths": 4},
+        "grid_steps": 8,
+        "tilt": 0.25,
+        "seed": 3,
+        "output": "out",
+    }
+
+
+def _field_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+_FIELD_PATHS = list(_field_paths(_full_doc()))
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _json_type(value):
+    if isinstance(value, bool) or value is None:
+        return type(value)
+    return float if isinstance(value, int) else type(value)
 
 
 class TestValidation:
@@ -119,6 +170,50 @@ class TestValidation:
             main(["laplace-verify", "--config", cfg, "--threads", "2"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda d: d.update(spec=[]), "spec"),
+            (lambda d: d["spec"].update(components=[5]), "spec.components[0]"),
+            (lambda d: d["spec"]["components"][0].update(word=5), "spec.components[0].word"),
+            (lambda d: d.update(output=5), "output"),
+            (lambda d: d["spec"].update(m=1.5), "spec.m"),
+            (lambda d: d["spec"]["components"][0].update(C=float("nan")), "spec.components[0].C"),
+            (lambda d: d["spec"]["components"][0].update(D=None), "spec.components[0].D"),
+            (lambda d: d["spec"].update(p=None), "spec.p"),
+        ],
+        ids=["spec-list", "component-int", "word-int", "output-int", "m-float", "C-nan", "D-null",
+             "p-null"],
+    )
+    def test_malformed_field_exit_2_named(self, tmp_path, capsys, edit, field):
+        doc = {**quad_doc(), "output": str(tmp_path / "o")}
+        edit(doc)
+        rc = main(["laplace-verify", "--config", write_config(tmp_path, doc)])
+        assert rc == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_not_utf8_exit_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        assert main(["laplace-verify", "--config", str(cfg)]) == 2
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mistyped_field_raises_only_config_error(self, data):
+        doc = _full_doc()
+        path = data.draw(st.sampled_from(_FIELD_PATHS))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]]
+        new = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(old)))
+        parent[path[-1]] = new
+        try:
+            load_config("laplace-verify", doc)
+        except ConfigError:
+            pass
 
     def test_report_echoes_raw_tilt(self, tmp_path):
         cfg = write_config(tmp_path, {"seed": 5, "tilt": 1})
@@ -231,6 +326,20 @@ class TestOtherCommands:
         rows = (out / "tables" / "path.csv").read_text().splitlines()
         assert rows[0] == "time,matrix,row,col,re,im"
         assert len(rows) > 16
+
+    def test_sde_run_slot_off_grid(self, tmp_path):
+        # slot time 0.3 is not a node of the uniform 4-step grid
+        doc = {
+            "spec": spec_to_dict(quadratic_spec(0.5, times=(0.3, 1.0))),
+            "n_list": [4],
+            "seed": 1,
+            "budgets": {"inner": 16},
+            "grid_steps": 4,
+        }
+        out = tmp_path / "out"
+        assert main(["sde-run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert 0.3 in [mom["time"] for mom in report["results"]["sde"]["moments"]]
 
     def test_yosida_test(self, tmp_path):
         doc = {"seed": 5}

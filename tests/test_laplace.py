@@ -93,18 +93,27 @@ class TestRhs:
 
     def test_recorded_drift_consistent_with_closed_form(self):
         # spot-check: node drift along the path tracks -2c x/(1+2c(1-t))
-        from hermflow.sde import euler_maruyama, value_drift_field
         c, n = 0.5, 8
         spec = quadratic_spec(c)
-        field = value_drift_field(spec, inner=512, rng=stream(153))
-        grid = np.linspace(0, 1, 33)
-        path = euler_maruyama(field, HermitianTuple.zeros(n, 1), grid, stream(154))
+        sim = simulate_controlled_paths(spec, n, 1, 32, 512, stream(153), heun=False)
+        grid = sim["grid"]
         for idx in (8, 16, 24):
             t = grid[idx]
-            want = -quad_drift_coeff(c, t) * path.states[idx]
-            err = np.sqrt(hs_norm2(HermitianTuple(path.drifts[idx] - want)))
+            want = -quad_drift_coeff(c, t) * sim["states"][0, idx]
+            err = np.sqrt(hs_norm2(HermitianTuple(sim["drifts"][0, idx] - want)))
             scale = np.sqrt(hs_norm2(HermitianTuple(want))) + 0.05
             assert err < 0.25 * scale + 0.03
+
+    def test_slot_states_are_recorded_node_states_off_grid(self):
+        # slot time 0.3 is off the uniform 4-step grid, so the grid gains a node for it
+        comp = PotentialComponent(offset=1.0, quad=0.5)
+        spec = PotentialSpec(times=(0.3, 1.0), components=(comp,), p=2.0, offset=-1.0, m=1)
+        sim = simulate_controlled_paths(spec, 4, 3, 4, 16, stream(155), heun=False)
+        grid = sim["grid"]
+        assert sim["states"].shape == sim["drifts"].shape == (3, grid.size, 1, 4, 4)
+        for j, t in enumerate(spec.times):
+            node = int(np.flatnonzero(grid == t)[0])
+            assert np.array_equal(sim["slot_states"][:, j], sim["states"][:, node])
 
 
 class TestReport:

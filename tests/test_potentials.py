@@ -390,8 +390,13 @@ class TestFloorAndSerialization:
 
     @pytest.mark.parametrize(
         "word",
-        [parse_word("u1") + parse_word("u1 u1"), 2.0 * parse_word("u1"), NCPolynomial.one()],
-        ids=["two-terms", "coefficient-2", "empty-word"],
+        [
+            parse_word("u1") + parse_word("u1 u1"),
+            2.0 * parse_word("u1"),
+            NCPolynomial.one(),
+            NCPolynomial.zero(),
+        ],
+        ids=["two-terms", "coefficient-2", "empty-word", "zero-polynomial"],
     )
     def test_to_dict_rejects_what_a_config_cannot_hold(self, word):
         comps = (PotentialComponent(1.0, 0.5), PotentialComponent(1.0, 0.5, 0.1, word))

@@ -26,11 +26,11 @@ from oracles import quad_drift_coeff
 
 
 def zero_field():
-    return DriftField(fn=lambda t, h, x: HermitianTuple(np.zeros_like(x.data)))
+    return DriftField(fn=lambda t, x: HermitianTuple(np.zeros_like(x.data)))
 
 
 def ou_field(a=1.0):
-    return DriftField(fn=lambda t, h, x: HermitianTuple(-a * x.data), lipschitz=a, monotone=True)
+    return DriftField(fn=lambda t, x: HermitianTuple(-a * x.data), lipschitz=a)
 
 
 class TestEulerMaruyama:
@@ -102,7 +102,7 @@ class TestEulerMaruyama:
             euler_maruyama(f, HermitianTuple.zeros(4, 1), np.linspace(0, 1, 11), stream(94))
 
     def test_explosion_aborts(self):
-        f = DriftField(fn=lambda t, h, x: HermitianTuple(x.data * 40.0 + np.eye(4)[None] * 1e4))
+        f = DriftField(fn=lambda t, x: HermitianTuple(x.data * 40.0 + np.eye(4)[None] * 1e4))
         with pytest.raises(PathExplosion):
             euler_maruyama(f, HermitianTuple.zeros(4, 1), np.linspace(0, 1, 101), stream(95))
 

@@ -51,6 +51,10 @@ CONFIGS = {
     "sd-check": ("sd-check", {"spec": WORD, "n_list": [6], "budgets": CHAIN}),
     "sde-two": ("sde-run", {"spec": TWO_QUAD, "n_list": [4], "budgets": {"inner": 16}, "grid_steps": 8}),
     "sde-word": ("sde-run", {"spec": WORD, "n_list": [4], "budgets": {"inner": 16, "grid_steps": 8}}),
+    "sde-offgrid": (
+        "sde-run",
+        {"spec": _spec([0.3, 1.0], [_comp(0.5)]), "n_list": [4], "budgets": {"inner": 16}, "grid_steps": 4},
+    ),
     "entropy-estimate": (
         "entropy-estimate",
         {"spec": QUAD, "n_list": [4], "budgets": {"paths": 8, "inner": 16, "grid_steps": 8}},

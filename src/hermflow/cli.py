@@ -201,12 +201,14 @@ def run_gibbs_sample(cfg: ExperimentConfig) -> tuple[dict, list]:
     for nv in cfg.n_list:
         per_chain = []
         traces = []
-        for idx in range(cfg.budgets["chains"]):
-            ens = gibbs.GibbsEnsemble(cfg.spec, nv, step=0.3 / np.sqrt(nv))
-            samples, diag = gibbs.mala_sample(
-                ens, cfg.budgets["chain_steps"], stream(cfg.seed, worker=101 * nv + idx)
-            )
-            mom = _chain_moments(samples, nv)
+        chains = range(cfg.budgets["chains"])
+        samples, batch = gibbs.mala_sample(
+            [gibbs.GibbsEnsemble(cfg.spec, nv, step=0.3 / np.sqrt(nv)) for _ in chains],
+            cfg.budgets["chain_steps"],
+            [stream(cfg.seed, worker=101 * nv + idx) for idx in chains],
+        )
+        for idx, diag in zip(chains, batch["chains"]):
+            mom = _chain_moments(samples[idx], nv)
             traces.append(diag.pop("trace_norm2"))
             per_chain.append({"moments": mom, "diagnostics": diag})
             rows.append(

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .laplace import simulate_controlled_paths
 from .matrix_core import sample_increment_array, stream
@@ -296,6 +295,8 @@ def chi_star(flow, m: int = 1) -> float:
             f"flow range T={T:.2f} too short for the tail closure; "
             f"use T >= {5.0 * max(1.0, v_eff - T):.1f}"
         )
+    from scipy.interpolate import CubicSpline  # deferred: the heaviest import, and only this route needs it
+
     integrand = 0.5 * (m / (1.0 + ts) - vals)
     spline = CubicSpline(ts, integrand)
     head = float(spline.integrate(ts[0], T))

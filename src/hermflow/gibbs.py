@@ -80,102 +80,131 @@ class GibbsEnsemble:
         return self.accepted / self.proposed if self.proposed else float("nan")
 
 
-def _log_density_and_score(ens: GibbsEnsemble, slots: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log density at one state and its score in embedded coordinates, from one pass each
-    of the potential and the bridge form."""
+def _log_density_and_score(ens: GibbsEnsemble, slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log densities at states (C, k, m, n, n) and their scores in embedded coordinates
+    (C, k*m*n*n), from one pass each of the potential and the bridge form."""
     n, times = ens.n, ens.spec.times
-    _, val, g = _evaluate(ens.spec, slots[None], ens.u_ext, grad=True)
-    bridge_val, bridge_grad = _bridge(times, slots[None])  # the spec's times are validated
-    logp = -float(n * n * (val[0] + bridge_val[0]))
+    _, val, g = _evaluate(ens.spec, slots, ens.u_ext, grad=True)
+    bridge_val, bridge_grad = _bridge(times, slots)  # the spec's times are validated
+    logp = -(n * n * (val + bridge_val))
     xi = -n * (g + bridge_grad)  # score_array's formula
-    return logp, _embed_array(xi[0]).ravel()
+    return logp, _embed_state(xi)
 
 
 def _embed_state(slots: np.ndarray) -> np.ndarray:
-    return _embed_array(slots).ravel()
+    """(..., k, m, n, n) states -> (..., k*m*n*n) real coordinates."""
+    return _embed_array(slots).reshape(slots.shape[:-4] + (-1,))
 
 
 def _unembed_state(v: np.ndarray, k: int, m: int, n: int) -> np.ndarray:
-    return _unembed_array(v.reshape(k, m * n * n), n, m)
+    return _unembed_array(v.reshape(v.shape[:-1] + (k, m * n * n)), n, m)
 
 
-def _log_proposal(v_to: np.ndarray, v_from: np.ndarray, grad_from: np.ndarray, eps: float) -> float:
-    """log q(v_to | v_from) of the Langevin proposal, up to a constant."""
-    return -float(np.sum((v_to - v_from - 0.5 * eps**2 * grad_from) ** 2)) / (2 * eps**2)
+def _log_proposal(v_to: np.ndarray, v_from: np.ndarray, grad_from: np.ndarray, eps_sq: np.ndarray) -> np.ndarray:
+    """log q(v_to | v_from) of the Langevin proposal, up to a constant, per leading index
+    of ``eps_sq`` (the squared steps)."""
+    drift = 0.5 * eps_sq[..., None] * grad_from
+    return -np.sum((v_to - v_from - drift) ** 2, axis=-1) / (2 * eps_sq)
+
+
+def _squares(eps: list) -> np.ndarray:
+    # C pow, as Python's float ** 2: numpy's vectorised square differs from it
+    # in the last bit about once in a thousand
+    return np.array([e**2 for e in eps])
 
 
 def mala_log_ratio(ens: GibbsEnsemble, slots_a: np.ndarray, slots_b: np.ndarray) -> float:
     """log of the acceptance ratio for a proposed move a -> b (MALA kernel)."""
-    eps = ens.step
-    va, vb = _embed_state(slots_a), _embed_state(slots_b)
-    la, ga = _log_density_and_score(ens, slots_a)
-    lb, gb = _log_density_and_score(ens, slots_b)
-    return lb - la + _log_proposal(va, vb, gb, eps) - _log_proposal(vb, va, ga, eps)
+    both = np.stack([slots_a, slots_b])
+    (va, vb), (la, lb), (ga, gb) = _embed_state(both), *_log_density_and_score(ens, both)
+    eps_sq = _squares([ens.step])[0]
+    return float(lb - la + _log_proposal(va, vb, gb, eps_sq) - _log_proposal(vb, va, ga, eps_sq))
 
 
 def mala_sample(
-    ens: GibbsEnsemble,
+    ens,
     steps: int,
-    rng: np.random.Generator,
+    rng,
     burn_in: Optional[int] = None,
     thin: int = 5,
     adapt: bool = True,
 ) -> tuple:
-    """Metropolis-adjusted Langevin chain targeting the ensemble density.
+    """Metropolis-adjusted Langevin chains targeting the ensemble density.
 
-    Returns (samples, diagnostics): samples (S, k, m, n, n) thinned after
-    burn-in; diagnostics carry acceptance rate, tuned step, and an
-    autocorrelation-based effective sample size of tau(X_1^2).
+    ``ens`` and ``rng`` are one GibbsEnsemble and its Generator, or equal-length
+    sequences of them, one per chain, sharing spec, n and u_ext.  The chains
+    step together along a leading axis, one potential pass per step for all
+    proposals.  Each chain draws its normals, then its accept uniform, from its
+    own Generator and adapts its own step over 25-step windows of burn-in, so
+    its samples do not depend on the other chains in the call.
+
+    Returns (samples, diagnostics).  For one ensemble: samples (S, k, m, n, n)
+    thinned after burn-in; diagnostics carry acceptance rate, tuned step, an
+    autocorrelation-based effective sample size of tau(X_1^2), the draw count
+    and the tau(X_1^2) trace.  For sequences: samples (C, S, k, m, n, n) and
+    {"acceptance": mean over chains, "chains": [one such dict per chain]}.
     """
-    k, m, n = ens.spec.k, ens.spec.m, ens.n
+    single = isinstance(ens, GibbsEnsemble)
+    ensembles, rngs = ([ens], [rng]) if single else (list(ens), list(rng))
+    if not ensembles or len(ensembles) != len(rngs):
+        raise ValueError(f"need one Generator per ensemble, got {len(ensembles)} and {len(rngs)}")
+    first = ensembles[0]
+    if any(e.spec != first.spec or e.n != first.n or e.u_ext is not first.u_ext for e in ensembles):
+        raise ValueError("batched chains must share spec, n and u_ext")
+    k, m, n = first.spec.k, first.spec.m, first.n
     burn_in = steps // 4 if burn_in is None else burn_in
     if burn_in < 0 or thin < 1:
         raise ValueError(f"need burn_in >= 0 and thin >= 1, got {burn_in} and {thin}")
-    v = _embed_state(ens.state)
-    slots = ens.state
-    logp, grad = _log_density_and_score(ens, slots)
-    eps = ens.step
+    slots = np.stack([e.state for e in ensembles])
+    v = _embed_state(slots)
+    logp, grad = _log_density_and_score(first, slots)
+    eps = [e.step for e in ensembles]
+    eps_sq = _squares(eps)
     kept = range(burn_in, steps, thin)  # iterations whose state is kept
-    samples = np.empty((len(kept),) + slots.shape, dtype=complex)
-    track = []
-    window_acc = []
+    chains = len(ensembles)
+    samples = np.empty((chains, len(kept)) + slots.shape[1:], dtype=complex)
+    track = np.empty((chains, len(kept)))
+    window = np.zeros((chains, 25))  # accept indicators of the last 25 steps
+    accepted = np.zeros(chains, dtype=int)
     for it in range(steps):
-        xi = rng.standard_normal(v.size)
-        v_prop = v + 0.5 * eps**2 * grad + eps * xi
+        xi = np.stack([r.standard_normal(v.shape[-1]) for r in rngs])
+        v_prop = v + 0.5 * eps_sq[:, None] * grad + np.array(eps)[:, None] * xi
         slots_prop = _unembed_state(v_prop, k, m, n)
-        logp_prop, grad_prop = _log_density_and_score(ens, slots_prop)
-        fwd = _log_proposal(v_prop, v, grad, eps)
-        bwd = _log_proposal(v, v_prop, grad_prop, eps)
+        logp_prop, grad_prop = _log_density_and_score(first, slots_prop)
+        fwd = _log_proposal(v_prop, v, grad, eps_sq)
+        bwd = _log_proposal(v, v_prop, grad_prop, eps_sq)
         log_alpha = logp_prop - logp + bwd - fwd
-        ens.proposed += 1
-        accept = np.log(rng.uniform()) < log_alpha
-        if accept:
-            v, slots, logp, grad = v_prop, slots_prop, logp_prop, grad_prop
-            ens.accepted += 1
-        window_acc.append(1.0 if accept else 0.0)
+        accept = np.array([np.log(r.uniform()) for r in rngs]) < log_alpha
+        v[accept], slots[accept] = v_prop[accept], slots_prop[accept]
+        logp[accept], grad[accept] = logp_prop[accept], grad_prop[accept]
+        accepted += accept
+        window[:, it % 25] = accept
         if adapt and it < burn_in and (it + 1) % 25 == 0:
-            rate = float(np.mean(window_acc[-25:]))
-            eps *= float(np.exp(0.4 * (rate - ens.target_acceptance)))
+            for c, rate in enumerate(window.mean(axis=1)):
+                eps[c] *= float(np.exp(0.4 * (rate - ensembles[c].target_acceptance)))
+            eps_sq = _squares(eps)
         if it in kept:
-            samples[len(track)] = slots
-            track.append(float(np.sum(np.abs(slots[0]) ** 2) / n))
-    ens.state = slots
-    ens.step = eps
-    rate = ens.acceptance_rate
-    if rate < 0.05:
+            j = (it - burn_in) // thin
+            samples[:, j] = slots
+            track[:, j] = np.sum(np.abs(slots[:, 0]) ** 2, axis=(-1, -2, -3)) / n
+    for c, e in enumerate(ensembles):
+        e.state, e.step = slots[c], eps[c]
+        e.proposed, e.accepted = e.proposed + steps, e.accepted + int(accepted[c])
+    collapsed = [e.acceptance_rate for e in ensembles if e.acceptance_rate < 0.05]
+    if collapsed:
         raise AcceptanceCollapse(
-            f"acceptance rate {rate:.3f} < 5%; reduce the step size or check the potential scaling"
+            f"acceptance rate {collapsed[0]:.3f} < 5%; reduce the step size or check the potential scaling"
         )
     if not kept:
         raise ValueError(f"no sample kept: burn_in {burn_in} >= steps {steps}")
-    diag = {
-        "acceptance": rate,
-        "step": eps,
-        "ess": _ess_autocorr(np.asarray(track)),
-        "draws": len(kept),
-        "trace_norm2": track,
-    }
-    return samples, diag
+    diags = [
+        {"acceptance": e.acceptance_rate, "step": e.step, "ess": _ess_autocorr(track[c]),
+         "draws": len(kept), "trace_norm2": track[c].tolist()}
+        for c, e in enumerate(ensembles)
+    ]
+    if single:
+        return samples[0], diags[0]
+    return samples, {"acceptance": float(np.mean([d["acceptance"] for d in diags])), "chains": diags}
 
 
 def rhat(chain_series: list) -> float:

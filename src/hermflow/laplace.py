@@ -73,10 +73,13 @@ def spread_nats(spec: PotentialSpec, n: int, rng: np.random.Generator, pilot: in
 
 
 def _controlled_grid(spec: PotentialSpec, steps: int) -> np.ndarray:
-    t_end = spec.times[-1]
-    base = np.linspace(0.0, t_end, steps + 1)
-    grid = np.unique(np.concatenate([base, np.asarray(spec.times)]))
-    return grid
+    """``steps`` uniform steps on [0, t_k] with every slot time a node; a uniform node
+    within ``_TIME_TOL`` of a slot time gives way to it (0 always stays)."""
+    slots = np.asarray(spec.times)
+    base = np.linspace(0.0, slots[-1], steps + 1)
+    near = np.abs(base[:, None] - slots).min(axis=1) <= _TIME_TOL
+    near[0] = False
+    return np.union1d(base[~near], slots)
 
 
 def simulate_controlled_paths(

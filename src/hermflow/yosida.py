@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize
 
 
 class ProxFailure(RuntimeError):
@@ -89,6 +88,8 @@ def _prox_descent(
 
 
 def _prox_derivative_free(g: ConvexFn, lam: float, x: np.ndarray, tol: float, y0: np.ndarray):
+    from scipy import optimize  # deferred: the heaviest import, and only this route needs it
+
     def F(y):
         return g(y) + float(np.dot(x - y, x - y)) / (2.0 * lam)
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -288,6 +291,12 @@ class TestLaplaceVerify:
 
 
 class TestOtherCommands:
+    def test_cli_import_leaves_scipy_out(self):
+        # only entropy-estimate and yosida-test need scipy; they import it when they run
+        code = "import sys, hermflow.cli; assert 'scipy' not in sys.modules"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_sd_check_gaussian(self, tmp_path):
         doc = {
             "spec": spec_to_dict(quadratic_spec(0.0, floor=1.0)),

@@ -143,6 +143,45 @@ class TestMALA:
             mala_sample(ens, 40, stream(129), burn_in=burn_in, thin=thin)
 
 
+class TestBatchedChains:
+    @staticmethod
+    def word_spec():
+        comp = PotentialComponent(offset=1.0, quad=0.5, coupling=0.06, word=parse_word("u1 u1 u1 u1"))
+        return PotentialSpec(times=(1.0,), components=(comp,), offset=-1.0)
+
+    def test_each_chain_matches_its_single_chain_call(self):
+        spec, n, steps = self.word_spec(), 4, 300
+
+        def ens():
+            return GibbsEnsemble(spec, n, step=0.3 / np.sqrt(n))
+
+        batch, diag = mala_sample([ens() for _ in range(3)], steps, [stream(131, worker=w) for w in range(3)])
+        assert batch.shape[0] == len(diag["chains"]) == 3
+        for c in range(3):
+            alone, want = mala_sample(ens(), steps, stream(131, worker=c))
+            got = diag["chains"][c]
+            assert np.array_equal(batch[c], alone)
+            assert got["trace_norm2"] == want["trace_norm2"]
+            for key in ("step", "acceptance", "ess", "draws"):
+                assert got[key] == want[key], key
+        assert diag["acceptance"] == np.mean([d["acceptance"] for d in diag["chains"]])
+
+    def test_ensembles_and_streams_of_different_lengths_raise(self):
+        spec = quadratic_spec(0.5)
+        with pytest.raises(ValueError):
+            mala_sample([GibbsEnsemble(spec, 4), GibbsEnsemble(spec, 4)], 40, [stream(132)])
+        with pytest.raises(ValueError):
+            mala_sample([GibbsEnsemble(spec, 4)], 40, [stream(132), stream(133)])
+
+    def test_collapsed_chain_in_a_batch_raises(self):
+        from hermflow.gibbs import AcceptanceCollapse
+
+        spec = quadratic_spec(0.5)
+        ensembles = [GibbsEnsemble(spec, 8, step=0.3), GibbsEnsemble(spec, 8, step=80.0)]
+        with pytest.raises(AcceptanceCollapse):
+            mala_sample(ensembles, 400, [stream(134), stream(135)], adapt=False)
+
+
 class TestSDResidual:
     def test_constant_polynomial_exact_zero(self):
         spec = quadratic_spec(0.5)

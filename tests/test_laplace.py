@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from hermflow.laplace import (
+    _TIME_TOL,
     LaplaceReport,
+    _controlled_grid,
     lhs_log_laplace,
     n_convergence,
     rhs_control_cost,
@@ -114,6 +116,13 @@ class TestRhs:
         for j, t in enumerate(spec.times):
             node = int(np.flatnonzero(grid == t)[0])
             assert np.array_equal(sim["slot_states"][:, j], sim["states"][:, node])
+
+    @pytest.mark.parametrize("times, steps", [((0.6, 1.0), 5), ((0.3, 0.7, 1.0), 10), ((0.2, 1.0), 35)])
+    def test_grid_has_no_near_duplicate_nodes(self, times, steps):
+        # linspace puts a node one ulp from each of these slot times
+        grid = _controlled_grid(PotentialSpec(times=times, components=(PotentialComponent(1.0, 0.5),)), steps)
+        assert grid[0] == 0.0 and np.diff(grid).min() > _TIME_TOL
+        assert all(t in grid for t in times)
 
 
 class TestReport:

@@ -11,6 +11,12 @@ Conventions used throughout the package:
 * The real embedding is isometric for the *unnormalized* Hilbert-Schmidt
   norm: ||embed(x)||^2 = sum_k Tr(x_k^2).
 
+Sampling: :func:`sample_increment_array` draws n^2 standard normals per
+matrix, one n x n real block ``a`` in stream order.  The diagonal of ``a``
+gives the diagonal, its strict upper triangle the real parts and its strict
+lower triangle the imaginary parts of the upper off-diagonal entries; the
+lower entries are their exact conjugates.
+
 Memory: :func:`sample_increment_array` allocates only its complex output
 and a real scratch block of at most ``_BLOCK_NORMALS`` normals, and
 :func:`norm2_array` needs one real array of half the input's size.
@@ -157,27 +163,40 @@ def sample_increment_array(
     E[Tr M_k^2] = n^2 * dt: diagonal entries N(0, dt), off-diagonal complex
     entries with real and imaginary parts each N(0, dt/2).
 
-    The normals go through one reused real block of at most
-    ``_BLOCK_NORMALS`` entries straight into the complex output: all real
-    parts first, then all imaginary parts, in the same stream order and with
-    the same arithmetic as ``(a + conj(a^T)) * 0.5 * sqrt(dt)`` on the
-    complex draw ``a``.
+    Each matrix takes one n x n block ``a`` of n^2 standard normals, in
+    stream order, and for i < j sets
+
+        Re H_ii = sqrt(dt) a_ii,     Im H_ii = +0.0,
+        Re H_ij = Re H_ji = sqrt(dt/2) a_ij,
+        Im H_ij = -Im H_ji = sqrt(dt/2) a_ji,
+
+    so the output is exactly Hermitian.  The blocks go through one reused
+    real scratch of at most ``_BLOCK_NORMALS`` normals straight into the
+    real and imaginary views of the complex output.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     h = np.empty(tuple(batch) + (m, n, n), dtype=complex)
     flat = h.reshape(-1, n, n)
+    diag = h.reshape(-1, n * n)[:, :: n + 1]  # a view of every diagonal
     per_block = max(1, _BLOCK_NORMALS // (n * n))
     scratch = np.empty((min(per_block, flat.shape[0]), n, n))
-    scale = np.sqrt(dt)
-    for part, combine in ((flat.real, np.add), (flat.imag, np.subtract)):
-        for lo in range(0, flat.shape[0], per_block):
-            a = scratch[: min(per_block, flat.shape[0] - lo)]
-            rng.standard_normal(out=a)
-            dst = part[lo : lo + a.shape[0]]
-            combine(a, np.swapaxes(a, -1, -2), out=dst)  # diag var 1, offdiag re/im var 1/2
-            dst *= 0.5
-            dst *= scale
+    lower = np.tril(np.ones((n, n), dtype=bool), -1)
+    s_diag, s_off = np.sqrt(dt), np.sqrt(0.5 * dt)
+    for lo in range(0, flat.shape[0], per_block):
+        a = scratch[: min(per_block, flat.shape[0] - lo)]
+        hi = lo + a.shape[0]
+        rng.standard_normal(out=a)
+        d = np.diagonal(a, axis1=-2, axis2=-1) * s_diag
+        a *= s_off
+        at = np.swapaxes(a, -1, -2)
+        re, im = flat.real[lo:hi], flat.imag[lo:hi]
+        np.copyto(re, a)
+        np.copyto(re, at, where=lower)
+        np.copyto(im, at)
+        np.negative(a, out=im, where=lower)
+        diag.real[lo:hi] = d
+        diag.imag[lo:hi] = 0.0
     return h
 
 

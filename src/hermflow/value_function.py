@@ -279,7 +279,7 @@ def value_h(q: ValueQuery, u_ext: Optional[np.ndarray] = None, chunk: int = 5000
 
     chain = _build_chain(np.asarray(spec.times)[future], q.t, n, c_tilt)
     gmax = -np.inf
-    s1 = s2 = 0.0
+    s1 = s2 = m2 = 0.0  # sum w, sum w^2, centered sum of squares, at scale e^gmax
     count = 0
     remaining = q.samples
     while remaining > 0:
@@ -295,21 +295,33 @@ def value_h(q: ValueQuery, u_ext: Optional[np.ndarray] = None, chunk: int = 5000
         scale = np.exp(gmax - new_max) if np.isfinite(gmax) else 0.0
         s1 *= scale
         s2 *= scale * scale
+        m2 *= scale * scale
         w = np.exp(logw - new_max)
-        s1 += float(w.sum())
+        c1 = float(w.sum())
         s2 += float(w @ w)
+        # Chan et al.'s pairwise update: the chunk's own centered sum of
+        # squares plus the shift between the running and the chunk mean
+        cmean = c1 / draws
+        w -= cmean
+        delta = cmean - s1 / count if count else 0.0
+        m2 += float(w @ w) + delta * delta * count * draws / (count + draws)
+        s1 += c1
         gmax = new_max
         count += draws
 
+    # The largest weight is 1 after the rescale, so s1 < 2 means it carries
+    # more than half the total.  Every weight set with an L2 ESS s1^2/s2 < 2
+    # has s1 < 2 too, since s2 <= s1.
     mean_w = s1 / count
-    ess = s1**2 / s2 if s2 > 0 else 0.0
-    if ess < 2.0:
+    ess = s1**2 / s2
+    if s1 < 2.0:
         raise EstimatorUnderflow(
-            f"effective sample size {ess:.2f} < 2; increase the budget or the tilt"
+            f"the largest weight carries {1.0 / s1:.1%} of the total (effective sample "
+            f"size {ess:.2f}); increase the budget or the tilt"
         )
     log_closed = float(_log_weight_closed(chain, x.data, spec.m))
     value = -(log_closed + gmax + float(np.log(mean_w))) / (n * n)
-    var_w = max(s2 / count - mean_w**2, 0.0) * count / max(count - 1, 1)
+    var_w = m2 / max(count - 1, 1)
     rel = float(np.sqrt(var_w) / (np.sqrt(count) * mean_w))
     return ValueEstimate(value=value, stderr=rel / (n * n), samples=q.samples, meta={"ess": ess})
 

@@ -31,12 +31,19 @@ def random_tuple(n, m, rng, scale=1.0):
     return HermitianTuple(sample_increment_array(n, m, 1.0, rng) * scale)
 
 
-def complex_draw_increment(n, m, dt, rng, batch=()):
-    """Reference sampler: one complex normal array, then (a + a*^T) / 2 * sqrt(dt)."""
-    shape = tuple(batch) + (m, n, n)
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    h = (a + np.conj(np.swapaxes(a, -1, -2))) * 0.5
-    return h * np.sqrt(dt)
+def block_draw_increment(n, m, dt, rng, batch=()):
+    """Reference sampler: one real normal array a, then for i < j
+    Re h_ii = sqrt(dt) a_ii, Re h_ij = Re h_ji = sqrt(dt/2) a_ij,
+    Im h_ij = -Im h_ji = sqrt(dt/2) a_ji and Im h_ii = 0."""
+    a = rng.standard_normal(tuple(batch) + (m, n, n))
+    at = np.swapaxes(a, -1, -2)
+    i, j = np.indices((n, n))
+    s_diag, s_off = np.sqrt(dt), np.sqrt(dt / 2)
+    re = np.where(i == j, s_diag * a, np.where(i < j, s_off * a, s_off * at))
+    im = np.where(i == j, 0.0, np.where(i < j, s_off * at, -(s_off * a)))
+    h = np.empty(re.shape, dtype=complex)
+    h.real, h.imag = re, im
+    return h
 
 
 class TestSampleIncrement:
@@ -71,18 +78,39 @@ class TestSampleIncrement:
         ],
     )
     def test_bit_exact_against_complex_draw(self, n, m, dt, batch):
-        rng_a, rng_b = stream(61), stream(61)
+        # the reference builds the complex increment from one real block draw
+        rng_a, rng_b, rng_c = stream(61), stream(61), stream(61)
         got = sample_increment_array(n, m, dt, rng_a, batch)
-        want = complex_draw_increment(n, m, dt, rng_b, batch)
+        want = block_draw_increment(n, m, dt, rng_b, batch)
         assert got.shape == want.shape and got.dtype == want.dtype
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
-        assert rng_a.standard_normal() == rng_b.standard_normal()  # same draws consumed
+        rng_c.standard_normal(n * n * m * int(np.prod(batch)))  # n^2 normals per matrix
+        assert rng_a.standard_normal() == rng_c.standard_normal()  # same draws consumed
 
     def test_bit_exact_across_many_small_blocks(self, monkeypatch):
         monkeypatch.setattr(matrix_core, "_BLOCK_NORMALS", 50)  # 5 matrices per block at n=3
         got = sample_increment_array(3, 2, 0.8, stream(62), batch=(7,))  # 14 = 5 + 5 + 4
-        assert np.array_equal(got, complex_draw_increment(3, 2, 0.8, stream(62), (7,)))
+        assert np.array_equal(got, block_draw_increment(3, 2, 0.8, stream(62), (7,)))
+
+    @pytest.mark.parametrize("n, m, dt, batch", [(1, 1, 1.0, (3,)), (5, 2, 0.37, (4,)), (16, 1, 2.0, (50,))])
+    def test_exactly_hermitian(self, n, m, dt, batch):
+        h = sample_increment_array(n, m, dt, stream(64), batch)
+        assert np.array_equal(h, np.conj(np.swapaxes(h, -1, -2)))
+        diag_im = np.diagonal(h.imag, axis1=-2, axis2=-1)
+        assert np.all(diag_im == 0.0) and not np.signbit(diag_im).any()  # +0.0
+
+    def test_real_and_imaginary_parts_uncorrelated(self):
+        # corr(Re h_01, Im h_01) over 20000 draws: 0 within 4 standard errors
+        draws = 20_000
+        h = sample_increment_array(6, 1, 1.0, stream(60), batch=(draws,))[:, 0]
+        iu, ju = np.triu_indices(6, k=1)
+        re, im = h.real[:, iu, ju], h.imag[:, iu, ju]
+        corr = ((re - re.mean(0)) * (im - im.mean(0))).mean(0) / (re.std(0) * im.std(0))
+        assert np.abs(corr).max() < 4 / np.sqrt(draws)
+        # nor is one entry's real part with another's imaginary part
+        cross = np.corrcoef(re[:, 0], im[:, 1])[0, 1]
+        assert abs(cross) < 4 / np.sqrt(draws)
 
     def test_peak_memory_is_one_output(self):
         tracemalloc.start()

@@ -10,7 +10,7 @@ from hermflow.matrix_core import (
     sample_increment_array,
     stream,
 )
-from hermflow import nc_poly
+from hermflow import nc_poly, value_function
 from hermflow.potentials import PotentialComponent, PotentialSpec, quadratic_spec
 from hermflow.value_function import (
     EstimatorUnderflow,
@@ -147,6 +147,23 @@ class TestValueH:
         spec = quadratic_spec(2.0)
         q = ValueQuery(spec, 0.0, [], HermitianTuple.zeros(32, 1), 50, rng)  # no tilt
         with pytest.raises(EstimatorUnderflow):
+            value_h(q)
+
+    def test_exact_tilt_chunked_stderr_is_rounding_level(self):
+        # constant weights up to rounding, over chunks of 64, 64, 64 and 8 draws
+        spec = quadratic_spec(0.7)
+        q = ValueQuery(spec, 0.0, [], HermitianTuple.zeros(16, 1), 200, stream(65), tilt=0.7)
+        est = value_h(q, chunk=64)
+        assert est.stderr < 1e-15
+        assert abs(est.value - 0.5 * np.log(1 + 1.4)) < 1e-9
+
+    def test_dominant_weight_raises(self, monkeypatch):
+        # weights (1, 0.5, 0.4): the largest carries 53% of the total while the
+        # L2 effective sample size 1.9^2 / 1.41 = 2.56 is above 2
+        logw = np.log(np.array([1.0, 0.5, 0.4])) - 3.0
+        monkeypatch.setattr(value_function, "_draw", lambda *args, **kwargs: (logw.copy(),))
+        q = ValueQuery(quadratic_spec(0.5), 0.0, [], HermitianTuple.zeros(4, 1), 3, stream(72))
+        with pytest.raises(EstimatorUnderflow, match="largest weight carries 52.6%"):
             value_h(q)
 
     def test_history_length_validation(self):
